@@ -130,7 +130,7 @@ fn main() {
     }
 
     log_summary!(
-        "scale ladder [{}]: {} rungs x {} backend configs…",
+        "scale ladder [{}]: {} rungs x {} backend/mode cells…",
         scale.label(),
         rungs.len(),
         ladder_jobs.len() / rungs.len().max(1),

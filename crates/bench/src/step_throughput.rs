@@ -278,8 +278,7 @@ pub struct LadderRung {
 }
 
 impl LadderRung {
-    /// Initial occupancy of this rung's world (`agents / cells`) — what
-    /// `IterationMode::Auto` resolves against.
+    /// Initial occupancy of this rung's world (`agents / cells`).
     pub fn occupancy(&self) -> f64 {
         (self.per_side * 2) as f64 / (self.side * self.side) as f64
     }
@@ -296,10 +295,18 @@ pub const LADDER_BACKENDS: &[(&str, usize)] = &[
     ("simt", 1),
 ];
 
-/// The stage-traversal modes every ladder cell is measured under, in
-/// report order. Sweeping both pins the sparse-over-dense speedup as a
-/// first-class series instead of an anecdote.
-pub const LADDER_MODES: &[IterationMode] = &[IterationMode::Dense, IterationMode::Sparse];
+/// The kernel mappings a ladder backend is measured under, in report
+/// order. Host backends have one traversal (agent-driven, reported as
+/// `sparse`); `simt` runs both its mappings, so the paper's
+/// one-thread-per-cell layout stays a measured series next to the
+/// agent-driven one.
+pub fn ladder_modes(backend: &str) -> &'static [IterationMode] {
+    if backend == "simt" {
+        &[IterationMode::Dense, IterationMode::Sparse]
+    } else {
+        &[IterationMode::Sparse]
+    }
+}
 
 /// Seed shared by every ladder replica.
 pub const LADDER_SEED: u64 = 9_700;
@@ -343,7 +350,7 @@ pub fn ladder_label(side: usize, backend: &str, threads: usize, mode: IterationM
 }
 
 /// The ladder job list over explicit rungs: every rung × backend
-/// configuration × traversal mode (restricted to `only`'s backend
+/// configuration × its [`ladder_modes`] (restricted to `only`'s backend
 /// configuration when given), LEM on the classic corridor with metrics
 /// off — the ladder times the kernel pipeline, not the observables. One
 /// replica per cell: the registry accumulates repeats across runs, and
@@ -357,7 +364,7 @@ pub fn ladder_jobs_for(rungs: &[LadderRung], only: Option<(&str, usize)>) -> Vec
                     continue;
                 }
             }
-            for &mode in LADDER_MODES {
+            for &mode in ladder_modes(backend) {
                 let env =
                     EnvConfig::small(rung.side, rung.side, rung.per_side).with_seed(LADDER_SEED);
                 let cfg =
@@ -385,7 +392,7 @@ pub fn ladder_jobs(scale: Scale, only: Option<(&str, usize)>) -> Vec<Job> {
     ladder_jobs_for(&ladder_rungs(scale), only)
 }
 
-/// One (rung, backend configuration, traversal mode) cell of the
+/// One (rung, backend configuration, kernel mapping) cell of the
 /// ladder.
 #[derive(Debug, Clone)]
 pub struct LadderRow {
@@ -417,12 +424,12 @@ pub struct LadderRow {
 }
 
 /// Aggregate a finished ladder batch into per-cell rows (report order:
-/// rung-major, then [`LADDER_BACKENDS`], then [`LADDER_MODES`]).
+/// rung-major, then [`LADDER_BACKENDS`], then [`ladder_modes`]).
 pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<LadderRow> {
     let mut out = Vec::new();
     for rung in rungs {
         for &(backend, threads) in LADDER_BACKENDS {
-            for &mode in LADDER_MODES {
+            for &mode in ladder_modes(backend) {
                 let label = ladder_label(rung.side, backend, threads, mode);
                 let results: Vec<_> = report.with_label(&label).collect();
                 if results.is_empty() {
@@ -498,9 +505,9 @@ pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
 }
 
 /// Total-step speedup of sparse over dense traversal, per `(side,
-/// backend, threads)` cell: `dense_total_ms / sparse_total_ms`. The
-/// tentpole series — O(live agents) stepping must beat the O(cells)
-/// sweep wherever occupancy is low, and by more as the grid grows.
+/// backend, threads)` cell that ran both (only `simt` does):
+/// `dense_total_ms / sparse_total_ms` — how far O(live agents) stepping
+/// beats the paper's O(cells) kernel layout as the grid grows.
 pub fn sparse_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f64)> {
     let cells: BTreeSet<(usize, &'static str, usize)> = rows
         .iter()
@@ -526,9 +533,7 @@ pub fn sparse_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f
 
 /// Pooled thread-scaling efficiency per `(side, mode, threads)`:
 /// `steps_per_sec(t) / (steps_per_sec(1) · t)`. 1.0 is perfect linear
-/// scaling; a flat thread curve reads as `1/t`. The dense rows were
-/// historically near-flat because row bands balanced *cells*, not
-/// agents — this series keeps that regression visible.
+/// scaling; a flat thread curve reads as `1/t`.
 pub fn thread_scaling(rows: &[LadderRow]) -> Vec<(usize, &'static str, usize, f64)> {
     let mut out = Vec::new();
     let cells: BTreeSet<(usize, &'static str)> = rows
@@ -812,7 +817,12 @@ mod tests {
 
     #[test]
     fn ladder_jobs_cover_every_backend_and_validate() {
-        let cells = LADDER_BACKENDS.len() * LADDER_MODES.len();
+        let cells: usize = LADDER_BACKENDS
+            .iter()
+            .map(|&(b, _)| ladder_modes(b).len())
+            .sum();
+        // Host cells run their one traversal; simt runs both mappings.
+        assert_eq!(cells, LADDER_BACKENDS.len() + 1);
         let jobs = ladder_jobs(Scale::Smoke, None);
         assert_eq!(jobs.len(), cells);
         for job in &jobs {
@@ -822,11 +832,11 @@ mod tests {
             assert_eq!(job.stop, StopCondition::Steps(job.warmup + 40));
         }
         // Every label is distinct and names its backend configuration
-        // and traversal mode.
+        // and kernel mapping.
         let labels: BTreeSet<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels.len(), jobs.len());
         for &(backend, threads) in LADDER_BACKENDS {
-            for &mode in LADDER_MODES {
+            for &mode in ladder_modes(backend) {
                 let label = ladder_label(96, backend, threads, mode);
                 let job = jobs.iter().find(|j| j.label == label).expect("cell");
                 assert_eq!(job.engine.backend_sel(), (backend, threads));
@@ -836,11 +846,12 @@ mod tests {
         // Larger scales add rungs without dropping the smoke rung.
         assert_eq!(ladder_jobs(Scale::Default, None).len(), 2 * cells);
         assert_eq!(ladder_jobs(Scale::Paper, None).len(), 3 * cells);
-        // `only` restricts to one backend configuration per rung; both
-        // modes stay.
+        // `only` restricts to one backend configuration per rung; simt
+        // keeps both mappings.
         let pooled4 = ladder_jobs(Scale::Default, Some(("pooled", 4)));
-        assert_eq!(pooled4.len(), 2 * LADDER_MODES.len());
-        assert!(pooled4.iter().all(|j| j.label.contains("pooled/t4/")));
+        assert_eq!(pooled4.len(), 2);
+        assert!(pooled4.iter().all(|j| j.label.contains("pooled/t4/sparse")));
+        assert_eq!(ladder_jobs(Scale::Default, Some(("simt", 1))).len(), 4);
     }
 
     #[test]
@@ -854,7 +865,7 @@ mod tests {
         let jobs = ladder_jobs_for(&rungs, None);
         let report = Batch::new(1).run(&jobs);
         let rows = aggregate_ladder(&rungs, &report);
-        assert_eq!(rows.len(), LADDER_BACKENDS.len() * LADDER_MODES.len());
+        assert_eq!(rows.len(), LADDER_BACKENDS.len() + 1);
         for r in &rows {
             // Warmup steps are discarded from the timed count.
             assert_eq!(r.steps, 10);
@@ -871,19 +882,19 @@ mod tests {
             assert!(r.movement_ms > 0.0);
             assert_eq!(r.movement_ms, r.stage_ms[Stage::Movement.index()]);
         }
-        // One movement-speedup entry per mode; sparse-over-dense per
-        // backend configuration; pooled scaling per mode × thread count.
+        // One movement-speedup entry (the host mode); sparse-over-dense
+        // for simt alone; pooled scaling per thread count.
         let speedups = ladder_speedups(&rows);
-        assert_eq!(speedups.len(), LADDER_MODES.len());
+        assert_eq!(speedups.len(), 1);
         for (side, _, x) in &speedups {
             assert_eq!(*side, 24);
             assert!(*x > 0.0);
         }
         let sparse = sparse_speedups(&rows);
-        assert_eq!(sparse.len(), LADDER_BACKENDS.len());
-        assert!(sparse.iter().all(|(_, _, _, x)| *x > 0.0));
+        assert_eq!(sparse.len(), 1);
+        assert!(sparse.iter().all(|(_, b, _, x)| *b == "simt" && *x > 0.0));
         let scaling = thread_scaling(&rows);
-        assert_eq!(scaling.len(), 3 * LADDER_MODES.len());
+        assert_eq!(scaling.len(), 3);
         for (_, mode, threads, eff) in &scaling {
             assert!(*eff > 0.0, "pooled t{threads} {mode} unmeasured");
             if *threads == 1 {

@@ -131,9 +131,6 @@ struct GpuBackend {
     lc_init: LaunchConfig,
     /// Launch geometry for the per-agent tour kernel (`n` rows).
     lc_tour: LaunchConfig,
-    /// Traversal mode, resolved from the configuration at build time
-    /// (`Auto` → initial occupancy vs the threshold).
-    mode: IterationMode,
     /// Live agent slots in ascending order, rebuilt from the liveness
     /// mask at the start of each sparse step (the lifecycle mutates
     /// liveness between steps). The sparse 1-D launches iterate this
@@ -175,7 +172,6 @@ impl GpuEngine {
                 .with_seed(seed);
         let lc_init = GpuBackend::rows_config(state.n + 1).with_seed(seed);
         let lc_tour = GpuBackend::rows_config(state.n).with_seed(seed);
-        let mode = cfg.iteration.resolve(env.live_count(), state.h * state.w);
         Self {
             core,
             backend: GpuBackend {
@@ -188,7 +184,6 @@ impl GpuEngine {
                 lc_cells,
                 lc_init,
                 lc_tour,
-                mode,
                 live_list: Vec::new(),
             },
         }
@@ -276,7 +271,7 @@ impl GpuBackend {
 impl StageBackend for GpuBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
         let base = step_no * 4;
-        let sparse = self.mode == IterationMode::Sparse;
+        let sparse = self.cfg.iteration == IterationMode::Sparse;
         let seed = self.cfg.env.seed;
         if sparse && stage == Stage::Init {
             // Rebuild the live slot list (ascending — the deterministic
@@ -629,7 +624,7 @@ impl Engine for GpuEngine {
     }
 
     fn iteration_mode(&self) -> IterationMode {
-        self.backend.mode
+        self.backend.cfg.iteration
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {

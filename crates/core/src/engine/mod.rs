@@ -6,17 +6,23 @@
 //! * [`cpu::CpuEngine`] (`scalar`) — the single-threaded reference (the
 //!   paper's "sequential counterpart running on a single threaded CPU");
 //! * [`pooled::PooledEngine`] (`pooled`) — the tile-parallel pooled CPU
-//!   engine: host-side row bands on a `simt` worker pool with
-//!   conflict-free movement claims;
+//!   engine: count-balanced row buckets of live agents on a `simt`
+//!   worker pool;
 //! * [`gpu::GpuEngine`] (`simt`) — the data-driven kernel pipeline on the
 //!   `simt` virtual GPU (sequential or parallel execution policy).
 //!
+//! The two host engines have one traversal each: agent-driven stages
+//! whose cost is O(live agents). `simt` keeps two kernel mappings
+//! ([`IterationMode`](crate::params::IterationMode)): the paper's
+//! one-thread-per-cell `Dense` layout, which is the differential oracle,
+//! and the agent-driven `Sparse` one.
+//!
 //! All consume counter-based randomness keyed by `(seed, entity id, step
 //! salt)`, so for equal configurations their trajectories are
-//! **bit-identical** — asserted by `validate::engines_agree`, the
-//! cross-backend golden parity tests, and the integration tests, and then
-//! relaxed into the paper's statistical CPU-vs-GPU comparison for
-//! Figure 6b.
+//! **bit-identical** — asserted against simt's dense mapping by the
+//! cross-backend golden parity tests, by `validate::engines_agree`, and
+//! by the integration tests, and then relaxed into the paper's
+//! statistical CPU-vs-GPU comparison for Figure 6b.
 
 pub mod cpu;
 pub mod gpu;
@@ -110,10 +116,9 @@ pub trait Engine {
     /// The movement model in use.
     fn model(&self) -> ModelKind;
 
-    /// The traversal mode this engine resolved at build time (`Auto`
-    /// settles to `Dense` or `Sparse` against the world's initial
-    /// occupancy; explicit modes pass through). Recorded in bench and
-    /// run provenance.
+    /// The traversal this engine steps with: always `Sparse` on the host
+    /// engines, the configured kernel mapping on `simt`. Recorded in
+    /// bench and run provenance.
     fn iteration_mode(&self) -> crate::params::IterationMode;
 
     /// Snapshot of the environment matrix (cell labels).

@@ -1,55 +1,34 @@
 //! The tile-parallel pooled CPU backend (`pooled` in the backend
 //! registry).
 //!
-//! A multi-threaded host engine on the `simt` [`WorkerPool`]: the grid is
-//! partitioned into contiguous row bands ([`band_ranges`]) and the four
-//! kernel stages run band-parallel with **conflict-free claims** — every
-//! output slot is written by exactly one task, so no locks are held in
-//! any hot loop.
+//! A multi-threaded host engine on the `simt` [`WorkerPool`]. Like the
+//! scalar engine it steps agent-driven: live agents are bucketed by
+//! contiguous row bands ([`RowBuckets`]) and every kernel stage runs over
+//! count-balanced groups of buckets, so no task visits an empty cell.
+//! Every output slot is written by exactly one task — agent slots by the
+//! task owning the agent's bucket, grid cells by the unique winner moving
+//! out of or into them — so no locks are held in any hot loop. Only the
+//! ACO pheromone evaporation sweeps the (dense) field, over cell bands
+//! ([`band_ranges`]).
 //!
-//! ## The claim protocol (movement)
-//!
-//! The scalar reference resolves movement per cell with
-//! [`gather_winner`]: scan the 8 neighbours in slot order, collect the
-//! agents whose FUTURE is this cell, draw one with the *cell's* RNG
-//! stream. The pooled backend reaches the identical answer in three
-//! barrier-separated phases, seeded from the dormant atomic-CAS movement
-//! variant (`kernels/movement_atomic.rs`) but with the tie-break made
-//! deterministic:
-//!
-//! 1. **Claim** (parallel over agents): each mover ORs one bit into its
-//!    target cell's claim byte — bit `k` means "the agent standing at
-//!    `target + NEIGHBOR_OFFSETS[k]` wants in". `fetch_or` is commutative,
-//!    so the byte is schedule-independent (unlike the CAS kernel, where
-//!    the *first* claimant wins and the winner depends on thread timing).
-//! 2. **Resolve** (parallel over row bands): each cell decodes its claim
-//!    byte — the set bits, read in ascending order, are exactly the
-//!    candidate list `gather_winner` builds in slot order, and the winner
-//!    is drawn with the same `(seed, cell, salt)` stream. An occupied
-//!    cell instead decodes its agent's *target* cell to learn whether the
-//!    agent left. Each cell writes only its own `mat`/`index`/pheromone
-//!    slots.
-//! 3. **Apply** (parallel over row bands): arrival cells write their
-//!    winner's position/tour slots — each agent wins at most one cell, so
-//!    these writes are agent-unique.
-//!
-//! Because every draw uses the same stream as the scalar engine and every
-//! candidate list is bit-equal, trajectories are **bit-identical to
-//! `scalar` at every thread count** — asserted by the cross-backend
-//! golden parity tests.
+//! Movement shares no claim state between tasks: each mover recomputes
+//! [`gather_winner`] at its target cell with that cell's own RNG stream
+//! — the draw simt's one-thread-per-cell movement kernel makes there —
+//! and records whether it won; winners then move in place. Trajectories
+//! are therefore **bit-identical to `scalar` and to simt's dense oracle
+//! at every thread count** — asserted by the cross-backend golden parity
+//! tests.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, NEIGHBOR_OFFSETS};
 use pedsim_grid::property::NO_FUTURE;
-use pedsim_grid::scan::{ScanMatrix, TourLengths, SCAN_INVALID};
+use pedsim_grid::scan::{ScanMatrix, TourLengths};
 use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 use simt::exec::pool::WorkerPool;
 
 use crate::metrics::{Geometry, Metrics};
-use crate::model::Arrival;
 use crate::model::{
     aco_scan_row, aco_select, front_status, gather_winner, lem_scan_row, lem_select, ScanRow,
 };
@@ -85,23 +64,6 @@ pub fn band_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Inverse of [`NEIGHBOR_OFFSETS`]: the slot `k` with
-/// `NEIGHBOR_OFFSETS[k] == (dr, dc)`.
-#[inline]
-fn offset_slot(dr: i64, dc: i64) -> usize {
-    match (dr, dc) {
-        (1, 0) => 0,
-        (1, -1) => 1,
-        (1, 1) => 2,
-        (0, -1) => 3,
-        (0, 1) => 4,
-        (-1, 0) => 5,
-        (-1, -1) => 6,
-        (-1, 1) => 7,
-        _ => unreachable!("future cell is not a neighbour: ({dr},{dc})"),
-    }
-}
-
 /// Write-set tracker for the `audit-runtime` tile-race detector: one
 /// owner word per slot, `0` = unwritten this phase, `1` = host thread,
 /// `b + 2` = pool block `b`. A [`Scatter`] lives for exactly one phase,
@@ -131,7 +93,7 @@ impl WriteSet {
         };
         // ordering: relaxed — the swap is an atomic claim; detection only
         // needs each slot's own modification order, not cross-slot order.
-        let prev = self.owners[i].swap(me, Ordering::Relaxed);
+        let prev = self.owners[i].swap(me, std::sync::atomic::Ordering::Relaxed);
         if prev != 0 {
             panic!(
                 "tile race: slot {i} written by task {} after task {} in the same phase",
@@ -198,8 +160,8 @@ impl<'a, T: Copy> Scatter<'a, T> {
     }
 }
 
-/// Live agents bucketed by contiguous row bands — the sparse iteration
-/// surface of the pooled backend.
+/// Live agents bucketed by contiguous row bands — the iteration surface
+/// of the pooled backend.
 ///
 /// Each bucket holds the live slots whose current row falls inside its
 /// band; per-slot back-pointers make insert/remove/move O(1). Stage
@@ -212,7 +174,7 @@ impl<'a, T: Copy> Scatter<'a, T> {
 /// phase collects cross-band movers into per-task outboxes merged in
 /// task order, and the lifecycle inserts/removes slots in its own
 /// slot-ordered phases. Bucket membership never affects trajectories —
-/// every sparse-stage write is agent- or cell-keyed — so bucket order
+/// every stage write is agent- or cell-keyed — so bucket order
 /// only has to be deterministic for reproducible *performance* and for
 /// the audit fixtures.
 pub(crate) struct RowBuckets {
@@ -368,14 +330,12 @@ pub struct PooledEngine {
 }
 
 /// The pooled engine's kernel-stage executor: the same host-side world
-/// the scalar backend loops over, plus the worker pool and the per-cell
-/// claim bytes.
+/// the scalar backend loops over, plus the worker pool and the row
+/// buckets it dispatches over.
 struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
     env: Environment,
-    mat_next: Matrix<u8>,
-    index_next: Matrix<u32>,
     scan: ScanMatrix,
     tour: TourLengths,
     pher: Option<PheromoneField>,
@@ -383,9 +343,6 @@ struct PooledBackend {
     dist: Arc<DistanceData>,
     seed: u64,
     pool: WorkerPool,
-    /// One claim byte per cell: bit `k` set means the agent at
-    /// `cell + NEIGHBOR_OFFSETS[k]` targets this cell.
-    claims: Vec<AtomicU8>,
     /// When set, every stage launch permutes its band issue order with a
     /// Philox schedule keyed by `(seed, launch_counter)` — the
     /// interleaving explorer's handle into this backend. `None` (the
@@ -393,11 +350,10 @@ struct PooledBackend {
     schedule_seed: Option<u64>,
     /// Monotonic launch counter keying the per-launch permutations.
     launches: std::cell::Cell<u64>,
-    /// Traversal mode, resolved from the configuration at build time.
-    mode: IterationMode,
-    /// Live agents bucketed by row band (`Some` iff sparse mode).
-    buckets: Option<RowBuckets>,
-    /// Sparse movement decode output, agent-keyed: the destination cell
+    /// Live agents bucketed by row band: the iteration surface of every
+    /// stage.
+    buckets: RowBuckets,
+    /// Movement decode output, agent-keyed: the destination cell
     /// (linear) the agent won this step, `u32::MAX` = stays put.
     won: Vec<u32>,
 }
@@ -464,25 +420,18 @@ impl PooledEngine {
             ),
             ModelKind::Lem(_) => (None, None),
         };
-        let (h, w) = (env.height(), env.width());
         let seed = cfg.env.seed;
-        let mode = cfg.iteration.resolve(env.live_count(), h * w);
         let pool = WorkerPool::new(threads);
-        let buckets = (mode == IterationMode::Sparse).then(|| {
-            // Finer than the task count so count-balanced grouping has
-            // room to equalise (BANDS_PER_WORKER × 4 buckets per worker).
-            let hint = pool.workers() * BANDS_PER_WORKER * 4;
-            let mut b = RowBuckets::new(h, n, hint);
-            b.rebuild(&env.alive, &env.props.row);
-            b
-        });
+        // Finer than the task count so count-balanced grouping has room
+        // to equalise (BANDS_PER_WORKER × 4 buckets per worker).
+        let hint = pool.workers() * BANDS_PER_WORKER * 4;
+        let mut buckets = RowBuckets::new(env.height(), n, hint);
+        buckets.rebuild(&env.alive, &env.props.row);
         Self {
             core,
             backend: PooledBackend {
                 cfg,
                 geom,
-                mat_next: Matrix::filled(h, w, CELL_EMPTY),
-                index_next: Matrix::filled(h, w, 0u32),
                 scan: ScanMatrix::new(n),
                 tour: TourLengths::new(n),
                 pher,
@@ -490,10 +439,8 @@ impl PooledEngine {
                 dist,
                 seed,
                 pool,
-                claims: (0..h * w).map(|_| AtomicU8::new(0)).collect(),
                 schedule_seed: None,
                 launches: std::cell::Cell::new(0),
-                mode,
                 buckets,
                 won: vec![u32::MAX; n + 1],
                 env,
@@ -552,385 +499,8 @@ impl PooledBackend {
         Some((seed, launch))
     }
 
-    fn stage_init(&mut self) {
-        // Supporting kernel (§IV.e): clear scan + FUTURE, band-parallel
-        // fills (each band owns a contiguous slice of each array).
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let fr = Scatter::new(&mut self.env.props.future_row);
-        let fc = Scatter::new(&mut self.env.props.future_col);
-        let vb = band_ranges(sv.len, parts);
-        let fb = band_ranges(fr.len, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            for i in vb[b].clone() {
-                // SAFETY: band-disjoint slots.
-                unsafe {
-                    sv.write(i, 0.0);
-                    si.write(i, SCAN_INVALID);
-                }
-            }
-            for i in fb[b].clone() {
-                // SAFETY: band-disjoint slots.
-                unsafe {
-                    fr.write(i, NO_FUTURE);
-                    fc.write(i, NO_FUTURE);
-                }
-            }
-        });
-    }
-
-    fn stage_initial_calc(&mut self) {
-        // §IV.b over row bands: writes are keyed by the cell's agent, and
-        // every agent stands on exactly one cell.
-        let (h, w) = (self.geom.height, self.geom.width);
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let mat = &self.env.mat;
-        let index = &self.env.index;
-        let dist = self.dist.dist_ref();
-        let model = self.cfg.model;
-        let pher = self.pher.as_ref();
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let front = Scatter::new(&mut self.env.props.front);
-        let front_k = Scatter::new(&mut self.env.props.front_k);
-        let bands = band_ranges(h, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
-            for r in bands[b].clone() {
-                for c in 0..w {
-                    let a = index.get(r, c);
-                    if a == 0 {
-                        continue;
-                    }
-                    let label = mat.get(r, c);
-                    let g = Group::from_label(label).expect("indexed cell has group label");
-                    let row: ScanRow = match model {
-                        ModelKind::Lem(p) => {
-                            lem_scan_row(&occ, dist, g, r as i64, c as i64, p.scan_range)
-                        }
-                        ModelKind::Aco(p) => {
-                            let tf = pher.expect("ACO has pheromone").of(g);
-                            let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                            aco_scan_row(&occ, &tau, dist, &p, g, r as i64, c as i64)
-                        }
-                    };
-                    let ai = a as usize;
-                    for slot in 0..8 {
-                        // SAFETY: agent-unique slots (one agent per cell).
-                        unsafe {
-                            sv.write(ai * 8 + slot, row.vals[slot]);
-                            si.write(ai * 8 + slot, row.idxs[slot]);
-                        }
-                    }
-                    let fk = dist.front_k(g, r as i64, c as i64);
-                    // SAFETY: agent-unique slots.
-                    unsafe {
-                        front.write(ai, front_status(&occ, fk, r as i64, c as i64));
-                        front_k.write(ai, fk as u8);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_tour(&mut self, step_no: u64) {
-        // §IV.c over agent bands: each agent writes only its own FUTURE
-        // slots, with its own RNG stream.
-        let salt = step_no * 4 + KERNEL_TOUR;
-        let n = self.geom.total_agents();
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let seed = self.seed;
-        let model = self.cfg.model;
-        let scan = &self.scan;
-        let alive = &self.env.alive;
-        let props = &mut self.env.props;
-        let front = &props.front;
-        let front_k = &props.front_k;
-        let prow = &props.row;
-        let pcol = &props.col;
-        let fr = Scatter::new(&mut props.future_row);
-        let fc = Scatter::new(&mut props.future_col);
-        let bands = band_ranges(n, parts);
-        dispatch(&self.pool, schedule, parts, &|b| {
-            for i in bands[b].clone() {
-                let a = i + 1;
-                if !alive[a] {
-                    continue;
-                }
-                let mut rng = StreamRng::with_offset(seed, a as u64, salt << 4);
-                let row = ScanRow {
-                    vals: scan.row_vals(a).try_into().expect("8 slots"),
-                    idxs: scan.row_idxs(a).try_into().expect("8 slots"),
-                };
-                let k = match model {
-                    ModelKind::Lem(p) => {
-                        lem_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                    }
-                    ModelKind::Aco(p) => {
-                        aco_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                    }
-                };
-                // SAFETY: agent-unique slots.
-                unsafe {
-                    match k {
-                        Some(k) => {
-                            let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                            fr.write(a, (i64::from(prow[a]) + dr) as u16);
-                            fc.write(a, (i64::from(pcol[a]) + dc) as u16);
-                        }
-                        None => {
-                            fr.write(a, NO_FUTURE);
-                            fc.write(a, NO_FUTURE);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Decode the winner at `(r, c)` from the claim bytes — the parallel
-    /// equivalent of [`gather_winner`]: the set bits of the claim byte,
-    /// in ascending order, are the slot-ordered candidate list, and the
-    /// draw uses the identical cell-keyed stream.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn claimed_winner(
-        mat: &Matrix<u8>,
-        index: &Matrix<u32>,
-        claims: &[AtomicU8],
-        seed: u64,
-        counter_base: u64,
-        w: usize,
-        r: usize,
-        c: usize,
-    ) -> Option<Arrival> {
-        if mat.get(r, c) != CELL_EMPTY {
-            return None;
-        }
-        let lin = r * w + c;
-        // ordering: relaxed — the claim phase's end-of-launch barrier
-        // (the pool's state mutex) already published every fetch_or;
-        // within the resolve phase the byte is read-only.
-        let mut bits = claims[lin].load(Ordering::Relaxed);
-        if bits == 0 {
-            return None;
-        }
-        let count = bits.count_ones();
-        let pick = if count == 1 {
-            0
-        } else {
-            let mut rng = StreamRng::with_offset(seed, lin as u64, counter_base);
-            rng.bounded_u32(count) as usize
-        };
-        for _ in 0..pick {
-            bits &= bits - 1;
-        }
-        let k = bits.trailing_zeros() as usize;
-        let (dr, dc) = NEIGHBOR_OFFSETS[k];
-        let (nr, nc) = ((r as i64 + dr) as usize, (c as i64 + dc) as usize);
-        Some(Arrival {
-            agent: index.get(nr, nc),
-            from_k: k,
-        })
-    }
-
-    fn stage_movement(&mut self, step_no: u64) {
-        // §IV.d in three barrier-separated phases (module docs).
-        let salt = step_no * 4 + KERNEL_MOVE;
-        let counter_base = salt << 4;
-        let (h, w) = (self.geom.height, self.geom.width);
-        let n = self.geom.total_agents();
-        let parts = self.parts();
-        let aco = match self.cfg.model {
-            ModelKind::Aco(p) => Some(p),
-            ModelKind::Lem(_) => None,
-        };
-
-        // Phase 1: reset + register claims (fetch_or is commutative, so
-        // the claim bytes are schedule-independent).
-        {
-            let reset_schedule = self.next_schedule();
-            let claim_schedule = self.next_schedule();
-            let claims = &self.claims;
-            let cell_bands = band_ranges(h * w, parts);
-            dispatch(&self.pool, reset_schedule, parts, &|b| {
-                for i in cell_bands[b].clone() {
-                    // ordering: relaxed — band-disjoint slots; the launch
-                    // barrier publishes the zeroes to the claim phase.
-                    claims[i].store(0, Ordering::Relaxed);
-                }
-            });
-            let props = &self.env.props;
-            let agent_bands = band_ranges(n, parts);
-            dispatch(&self.pool, claim_schedule, parts, &|b| {
-                for i in agent_bands[b].clone() {
-                    let a = i + 1;
-                    let fr = props.future_row[a];
-                    if fr == NO_FUTURE {
-                        continue;
-                    }
-                    let fc = props.future_col[a];
-                    let k = offset_slot(
-                        i64::from(props.row[a]) - i64::from(fr),
-                        i64::from(props.col[a]) - i64::from(fc),
-                    );
-                    // ordering: relaxed — fetch_or commutes, so only the
-                    // final claim byte matters, and the launch barrier
-                    // publishes it before the resolve phase reads.
-                    claims[fr as usize * w + fc as usize].fetch_or(1 << k, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // Phase 2: resolve — every cell writes its own mat/index (and
-        // pheromone) slots only, so row bands cannot conflict.
-        {
-            let schedule = self.next_schedule();
-            let mat = &self.env.mat;
-            let index = &self.env.index;
-            let props = &self.env.props;
-            let tour = &self.tour;
-            let claims = &self.claims;
-            let seed = self.seed;
-            let mat_out = Scatter::new(self.mat_next.as_mut_slice());
-            let idx_out = Scatter::new(self.index_next.as_mut_slice());
-            let pin = self.pher.as_ref();
-            let pouts: Vec<Scatter<'_, f32>> = match self.pher_next.as_mut() {
-                Some(p) => p
-                    .planes_mut()
-                    .iter_mut()
-                    .map(|m| Scatter::new(m.as_mut_slice()))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let bands = band_ranges(h, parts);
-            dispatch(&self.pool, schedule, parts, &|b| {
-                for r in bands[b].clone() {
-                    for c in 0..w {
-                        let lin = r * w + c;
-                        let arrival =
-                            Self::claimed_winner(mat, index, claims, seed, counter_base, w, r, c);
-                        let own = index.get(r, c);
-                        let (new_label, new_index) = if let Some(arr) = arrival {
-                            (props.id[arr.agent as usize], arr.agent)
-                        } else if own != 0 && props.future_row[own as usize] != NO_FUTURE {
-                            // Our agent wants to leave: decode its target
-                            // cell to learn whether it won there.
-                            let fr = props.future_row[own as usize] as usize;
-                            let fc = props.future_col[own as usize] as usize;
-                            let wins = Self::claimed_winner(
-                                mat,
-                                index,
-                                claims,
-                                seed,
-                                counter_base,
-                                w,
-                                fr,
-                                fc,
-                            )
-                            .is_some_and(|a| a.agent == own);
-                            if wins {
-                                (CELL_EMPTY, 0)
-                            } else {
-                                (mat.get(r, c), own)
-                            }
-                        } else {
-                            (mat.get(r, c), own)
-                        };
-                        // SAFETY: cell-unique slots within this band.
-                        unsafe {
-                            mat_out.write(lin, new_label);
-                            idx_out.write(lin, new_index);
-                        }
-
-                        if let (Some(p), Some(pin)) = (aco, pin) {
-                            let deposit: Option<(usize, f32)> = arrival.map(|arr| {
-                                let a = arr.agent as usize;
-                                let l_new = tour.get(a) + arr.step_len();
-                                let g = Group::from_label(props.id[a])
-                                    .expect("arrival has a group label");
-                                (g.index(), p.q / l_new)
-                            });
-                            for (gi, pout) in pouts.iter().enumerate() {
-                                let g = Group::new(gi);
-                                let dep = match deposit {
-                                    Some((dg, amount)) if dg == gi => amount,
-                                    _ => 0.0,
-                                };
-                                let next = PheromoneField::fused_update(
-                                    pin.of(g).get(r, c),
-                                    p.tau0,
-                                    p.rho,
-                                    dep,
-                                );
-                                // SAFETY: cell-unique slot.
-                                unsafe { pout.write(lin, next) };
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Phase 3: apply — arrival cells update their winner's slots;
-        // each agent wins at most one cell, so the writes (and the
-        // read-modify-write of the tour) are agent-unique.
-        {
-            let schedule = self.next_schedule();
-            let index = &self.env.index;
-            let index_next = &self.index_next;
-            let props = &mut self.env.props;
-            let prow = Scatter::new(&mut props.row);
-            let pcol = Scatter::new(&mut props.col);
-            let ppos = Scatter::new(&mut self.env.pos);
-            let tours = Scatter::new(&mut self.tour.len);
-            let track_tour = aco.is_some();
-            let bands = band_ranges(h, parts);
-            dispatch(&self.pool, schedule, parts, &|b| {
-                for r in bands[b].clone() {
-                    for c in 0..w {
-                        let a = index_next.get(r, c);
-                        if a != 0 && index.get(r, c) != a {
-                            let ai = a as usize;
-                            // SAFETY: agent-unique slots; only this task
-                            // reads/writes index `ai` this phase.
-                            unsafe {
-                                let (or, oc) = (prow.read(ai), pcol.read(ai));
-                                let dr = (r as i64 - i64::from(or)).unsigned_abs();
-                                let dc = (c as i64 - i64::from(oc)).unsigned_abs();
-                                let step_len = if dr + dc == 2 {
-                                    std::f32::consts::SQRT_2
-                                } else {
-                                    1.0
-                                };
-                                prow.write(ai, r as u16);
-                                pcol.write(ai, c as u16);
-                                ppos.write(ai, (r * w + c) as u32);
-                                if track_tour {
-                                    tours.write(ai, tours.read(ai) + step_len);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        std::mem::swap(&mut self.env.mat, &mut self.mat_next);
-        std::mem::swap(&mut self.env.index, &mut self.index_next);
-        if aco.is_some() {
-            std::mem::swap(&mut self.pher, &mut self.pher_next);
-        }
-    }
-
-    // ---- sparse (agent-centric) stage variants ----------------------
-    //
     // Tasks iterate bucket groups of live agents (count-balanced via
-    // [`RowBuckets::task_groups`]) instead of row bands of cells. Every
+    // [`RowBuckets::task_groups`]), never row bands of cells. Every
     // write is agent-keyed (each live agent sits in exactly one bucket,
     // each bucket in exactly one task group) or lands on a globally
     // unique cell (movement-apply: all winners' source cells were
@@ -939,11 +509,11 @@ impl PooledBackend {
     // the per-phase [`WriteSet`] checks exactly this — an overlapping
     // bucket assignment double-writes an agent slot and panics.
 
-    fn stage_init_sparse(&mut self) {
+    fn stage_init(&mut self) {
         // Only live slots are read downstream; clear their futures only.
         let parts = self.parts();
         let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
+        let buckets = &self.buckets;
         let groups = buckets.task_groups(parts);
         let fr = Scatter::new(&mut self.env.props.future_row);
         let fc = Scatter::new(&mut self.env.props.future_col);
@@ -960,12 +530,12 @@ impl PooledBackend {
         });
     }
 
-    fn stage_initial_calc_sparse(&mut self) {
+    fn stage_initial_calc(&mut self) {
         // One pass per live agent: scan rows and front status are
         // agent-keyed, so bucket-disjoint tasks cannot conflict.
         let parts = self.parts();
         let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
+        let buckets = &self.buckets;
         let groups = buckets.task_groups(parts);
         let mat = &self.env.mat;
         let dist = self.dist.dist_ref();
@@ -1012,13 +582,13 @@ impl PooledBackend {
         });
     }
 
-    fn stage_tour_sparse(&mut self, step_no: u64) {
-        // Identical per-agent work to the dense tour, driven from the
-        // count-balanced bucket groups instead of capacity bands.
+    fn stage_tour(&mut self, step_no: u64) {
+        // §IV.c: each agent writes only its own FUTURE slots, with its
+        // own RNG stream, driven from the count-balanced bucket groups.
         let salt = step_no * 4 + KERNEL_TOUR;
         let parts = self.parts();
         let schedule = self.next_schedule();
-        let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
+        let buckets = &self.buckets;
         let groups = buckets.task_groups(parts);
         let seed = self.seed;
         let model = self.cfg.model;
@@ -1066,11 +636,11 @@ impl PooledBackend {
         });
     }
 
-    fn stage_movement_sparse(&mut self, step_no: u64) {
-        // Claim-free movement: each live agent recomputes the winner at
-        // its *target* cell with that cell's own stream (the identical
-        // draw the dense resolve makes there) and records whether it won;
-        // the apply phase then moves exactly the winners, in place.
+    fn stage_movement(&mut self, step_no: u64) {
+        // §IV.d: each live agent recomputes the winner at its *target*
+        // cell with that cell's own stream (the identical draw simt's
+        // per-cell movement kernel makes there) and records whether it
+        // won; the apply phase then moves exactly the winners, in place.
         let salt = step_no * 4 + KERNEL_MOVE;
         let counter_base = salt << 4;
         let w = self.geom.width;
@@ -1079,15 +649,12 @@ impl PooledBackend {
             ModelKind::Aco(p) => Some(p),
             ModelKind::Lem(_) => None,
         };
-        let groups = {
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
-            buckets.task_groups(parts)
-        };
+        let groups = self.buckets.task_groups(parts);
 
         // Pheromone evaporation sweep (ACO): the field itself is dense,
         // so every plane evaporates band-parallel; the apply phase then
         // overwrites the winners' destination slots with the fused
-        // evaporate+deposit value the dense resolve computes there.
+        // evaporate+deposit value the per-cell kernel computes there.
         if let Some(p) = aco {
             let schedule = self.next_schedule();
             let pin = self.pher.as_ref().expect("ACO pheromone");
@@ -1118,7 +685,7 @@ impl PooledBackend {
         // Decode phase: agent-keyed writes into `won`.
         {
             let schedule = self.next_schedule();
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
+            let buckets = &self.buckets;
             let mat = &self.env.mat;
             let index = &self.env.index;
             let props = &self.env.props;
@@ -1170,7 +737,7 @@ impl PooledBackend {
             .collect();
         {
             let schedule = self.next_schedule();
-            let buckets = self.buckets.as_ref().expect("sparse mode has buckets");
+            let buckets = &self.buckets;
             let won = &self.won;
             let ids = &self.env.props.id;
             let mat = Scatter::new(self.env.mat.as_mut_slice());
@@ -1247,10 +814,9 @@ impl PooledBackend {
 
         // Serial maintenance: merge the outboxes in task order (a fixed,
         // schedule-independent order) and flip the pheromone planes.
-        let buckets = self.buckets.as_mut().expect("sparse mode has buckets");
         for outbox in outboxes {
             for (a, nr) in outbox.into_inner().expect("outbox poisoned") {
-                buckets.move_to(a, nr);
+                self.buckets.move_to(a, nr);
             }
         }
         if aco.is_some() {
@@ -1263,15 +829,10 @@ impl StageBackend for PooledBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
         // Like the scalar backend, no launch machinery to report: the
         // kernel counters stay at the zeros the core pre-registered.
-        let sparse = self.mode == IterationMode::Sparse;
         match stage {
-            Stage::Init if sparse => self.stage_init_sparse(),
             Stage::Init => self.stage_init(),
-            Stage::InitialCalc if sparse => self.stage_initial_calc_sparse(),
             Stage::InitialCalc => self.stage_initial_calc(),
-            Stage::Tour if sparse => self.stage_tour_sparse(step_no),
             Stage::Tour => self.stage_tour(step_no),
-            Stage::Movement if sparse => self.stage_movement_sparse(step_no),
             Stage::Movement => self.stage_movement(step_no),
             Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
         }
@@ -1290,14 +851,13 @@ impl StageBackend for PooledBackend {
         let mut world = HostWorld {
             env: &mut self.env,
             tour: &mut self.tour,
-            buckets: self.buckets.as_mut(),
+            buckets: Some(&mut self.buckets),
         };
         lifecycle.run_step(&mut world, step, metrics);
         #[cfg(debug_assertions)]
-        if let Some(b) = &self.buckets {
-            b.check_consistency(&self.env.alive, &self.env.props.row)
-                .expect("buckets consistent after lifecycle");
-        }
+        self.buckets
+            .check_consistency(&self.env.alive, &self.env.props.row)
+            .expect("buckets consistent after lifecycle");
     }
 }
 
@@ -1327,7 +887,7 @@ impl Engine for PooledEngine {
     }
 
     fn iteration_mode(&self) -> IterationMode {
-        self.backend.mode
+        IterationMode::Sparse
     }
 
     fn mat_snapshot(&self) -> Matrix<u8> {
@@ -1359,14 +919,6 @@ pub fn pooled_engine_small(
 mod tests {
     use super::*;
     use crate::engine::cpu::cpu_engine_small;
-    use crate::model::gather_winner;
-
-    #[test]
-    fn offset_slot_inverts_neighbor_offsets() {
-        for (k, &(dr, dc)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-            assert_eq!(offset_slot(dr, dc), k);
-        }
-    }
 
     #[test]
     fn band_ranges_cover_exactly_once() {
@@ -1379,67 +931,6 @@ mod tests {
                 next = b.end;
             }
             assert_eq!(next, n);
-        }
-    }
-
-    #[test]
-    fn claimed_winner_matches_gather_winner() {
-        // Drive the scalar engine a few steps, then at each state compare
-        // the claim decode against gather_winner on every cell.
-        let mut e = cpu_engine_small(24, 24, 40, ModelKind::lem(), 13);
-        for step in 0..12u64 {
-            e.step();
-            let env = e.environment();
-            let (h, w) = (env.mat.height(), env.mat.width());
-            // Rebuild what the next step's tour stage would see is not
-            // available here; instead synthesise futures: every agent
-            // "wants" its current cell's northern neighbour when empty.
-            let mut props = env.props.clone();
-            for a in 1..props.row.len() {
-                let (r, c) = (props.row[a], props.col[a]);
-                if r > 0 && env.mat.get(r as usize - 1, c as usize) == CELL_EMPTY {
-                    props.future_row[a] = r - 1;
-                    props.future_col[a] = c;
-                } else {
-                    props.future_row[a] = NO_FUTURE;
-                    props.future_col[a] = NO_FUTURE;
-                }
-            }
-            // Claims from the synthesised futures.
-            let claims: Vec<AtomicU8> = (0..h * w).map(|_| AtomicU8::new(0)).collect();
-            for a in 1..props.row.len() {
-                if props.future_row[a] == NO_FUTURE {
-                    continue;
-                }
-                let (fr, fc) = (props.future_row[a] as usize, props.future_col[a] as usize);
-                let k = offset_slot(
-                    i64::from(props.row[a]) - fr as i64,
-                    i64::from(props.col[a]) - fc as i64,
-                );
-                claims[fr * w + fc].fetch_or(1 << k, Ordering::Relaxed);
-            }
-            let occ = |r: i64, c: i64| env.mat.get_or(r, c, CELL_WALL);
-            let idx = |r: i64, c: i64| env.index.get_or(r, c, 0);
-            let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
-            let counter_base = (step * 4 + KERNEL_MOVE) << 4;
-            for r in 0..h {
-                for c in 0..w {
-                    let mut rng =
-                        StreamRng::with_offset(env.seed, (r * w + c) as u64, counter_base);
-                    let reference = gather_winner(&occ, &idx, &fut, r as i64, c as i64, &mut rng);
-                    let decoded = PooledBackend::claimed_winner(
-                        &env.mat,
-                        &env.index,
-                        &claims,
-                        env.seed,
-                        counter_base,
-                        w,
-                        r,
-                        c,
-                    );
-                    assert_eq!(decoded, reference, "cell ({r},{c}) at step {step}");
-                }
-            }
         }
     }
 

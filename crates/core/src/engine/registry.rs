@@ -12,11 +12,14 @@
 //! | name     | engine                      | execution                               |
 //! |----------|-----------------------------|-----------------------------------------|
 //! | `scalar` | [`cpu::CpuEngine`]          | single-threaded host loops (reference)  |
-//! | `pooled` | [`pooled::PooledEngine`]    | tile-parallel host bands on a pool      |
+//! | `pooled` | [`pooled::PooledEngine`]    | live-agent row buckets on a pool        |
 //! | `simt`   | [`gpu::GpuEngine`]          | virtual-GPU kernel pipeline             |
 //!
-//! All three are bit-identical in trajectory for equal configurations
-//! (the cross-backend golden parity tests), so the choice is purely a
+//! `scalar` and `pooled` step agent-driven only; `simt` honours
+//! [`SimConfig::iteration`] — `Dense` is the paper's one thread per cell
+//! and the oracle the others are checked against. All three are
+//! bit-identical in trajectory for equal configurations (the
+//! cross-backend golden parity tests), so the choice is purely a
 //! performance/instrumentation trade.
 //!
 //! [`cpu::CpuEngine`]: super::cpu::CpuEngine

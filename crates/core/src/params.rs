@@ -101,58 +101,33 @@ impl ModelKind {
     }
 }
 
-/// How the kernel stages traverse the world each step.
+/// How the `simt` backend maps its kernel stages onto threads.
 ///
-/// The paper's §IV mapping launches one thread per environment cell; at
-/// corridor occupancies (~6 % on the paper's geometry) that sweeps ~16
-/// cells to advance one agent. `Sparse` drives InitialCalc, Tour, and
-/// Movement from the live-agent slot list instead (through the
-/// maintained agent→cell position index), producing byte-identical
-/// trajectories — the per-cell Philox streams are keyed by cell, so
-/// skipping cells no agent touches consumes no draws.
+/// The host backends (`scalar`, `pooled`) always step agent-driven and
+/// report `Sparse`; the mode only selects between the virtual GPU's two
+/// kernel layouts. `Dense` is the paper's §IV mapping — one thread per
+/// environment cell — and the differential oracle every other path is
+/// checked against. `Sparse` drives InitialCalc, Tour, and Movement from
+/// the live-agent slot list instead (through the maintained agent→cell
+/// position index), producing byte-identical trajectories — the per-cell
+/// Philox streams are keyed by cell, so skipping cells no agent touches
+/// consumes no draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterationMode {
-    /// One pass per grid cell (the paper's mapping). Fastest when most
-    /// cells are occupied.
+    /// One `simt` thread per grid cell (the paper's mapping and the
+    /// reference oracle).
     Dense,
-    /// One pass per live agent slot, in deterministic slot order.
-    /// Fastest at low occupancy; bit-identical to `Dense`.
+    /// One pass per live agent slot, in deterministic slot order. The
+    /// only traversal of the host backends; bit-identical to `Dense`.
     Sparse,
-    /// Pick per engine at build time by initial occupancy:
-    /// `live / (width·height) <` [`IterationMode::AUTO_THRESHOLD`]
-    /// selects `Sparse`.
-    Auto,
 }
 
 impl IterationMode {
-    /// Occupancy below which `Auto` resolves to `Sparse`. At 25 %
-    /// occupancy the sparse movement pass touches roughly as many cells
-    /// as the dense sweep (each agent reads its 8-neighbourhood plus the
-    /// target resolve), so the crossover sits near 1/4; corridor worlds
-    /// (~6–8 %) resolve sparse, near-jammed stress grids stay dense.
-    pub const AUTO_THRESHOLD: f64 = 0.25;
-
-    /// Resolve `Auto` against a world's initial occupancy; `Dense` and
-    /// `Sparse` pass through unchanged.
-    pub fn resolve(self, live: usize, cells: usize) -> IterationMode {
-        match self {
-            IterationMode::Auto => {
-                if cells > 0 && (live as f64 / cells as f64) < Self::AUTO_THRESHOLD {
-                    IterationMode::Sparse
-                } else {
-                    IterationMode::Dense
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Registry/report key (`dense` / `sparse` / `auto`).
+    /// Registry/report key (`dense` / `sparse`).
     pub fn name(&self) -> &'static str {
         match self {
             IterationMode::Dense => "dense",
             IterationMode::Sparse => "sparse",
-            IterationMode::Auto => "auto",
         }
     }
 }
@@ -182,9 +157,10 @@ pub struct SimConfig {
     pub checked: bool,
     /// Track crossing/movement metrics each step (small O(N) cost).
     pub track_metrics: bool,
-    /// How the kernel stages traverse the world (dense cell sweep vs
-    /// sparse live-slot iteration). Not part of the world: compiled
-    /// worlds and trajectories are identical in both modes.
+    /// The `simt` kernel mapping (dense cell sweep vs sparse live-slot
+    /// iteration); host backends always step sparse. Not part of the
+    /// world: compiled worlds and trajectories are identical in both
+    /// modes.
     pub iteration: IterationMode,
 }
 
@@ -198,7 +174,7 @@ impl SimConfig {
             model,
             checked: false,
             track_metrics: true,
-            iteration: IterationMode::Auto,
+            iteration: IterationMode::Sparse,
         }
     }
 
@@ -223,7 +199,7 @@ impl SimConfig {
             model,
             checked: false,
             track_metrics: true,
-            iteration: IterationMode::Auto,
+            iteration: IterationMode::Sparse,
         }
     }
 
@@ -239,8 +215,9 @@ impl SimConfig {
         self
     }
 
-    /// Builder: pick the stage traversal mode (defaults to
-    /// [`IterationMode::Auto`]).
+    /// Builder: pick the `simt` backend's kernel mapping (defaults to
+    /// [`IterationMode::Sparse`]; `Dense` is the paper's one thread per
+    /// cell). The host backends ignore it.
     pub fn with_iteration_mode(mut self, mode: IterationMode) -> Self {
         self.iteration = mode;
         self
@@ -282,16 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_resolves_by_occupancy() {
-        assert_eq!(IterationMode::Auto.resolve(60, 1024), IterationMode::Sparse);
-        assert_eq!(IterationMode::Auto.resolve(512, 1024), IterationMode::Dense);
-        assert_eq!(IterationMode::Auto.resolve(0, 0), IterationMode::Dense);
-        // Explicit modes pass through regardless of occupancy.
-        assert_eq!(IterationMode::Dense.resolve(1, 1024), IterationMode::Dense);
+    fn iteration_mode_defaults_sparse() {
+        let env = pedsim_grid::EnvConfig::small(32, 32, 30);
         assert_eq!(
-            IterationMode::Sparse.resolve(1000, 1024),
+            SimConfig::new(env, ModelKind::lem()).iteration,
             IterationMode::Sparse
         );
+        assert_eq!(IterationMode::Dense.name(), "dense");
         assert_eq!(IterationMode::Sparse.name(), "sparse");
     }
 

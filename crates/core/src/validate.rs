@@ -3,9 +3,11 @@
 //! The paper compares CPU and GPU runs statistically ("Comparing the
 //! solution obtained from CPU and GPU is a viable way to begin to establish
 //! consistency of the implementation"). Counter-based randomness lets this
-//! reproduction do better: for one configuration the CPU reference, the
-//! sequential virtual-GPU run, and the parallel virtual-GPU run must agree
-//! **exactly**, cell for cell. [`engines_agree`] asserts that; the
+//! reproduction do better: for one configuration the CPU reference and the
+//! virtual GPU's sparse mapping must agree **exactly**, cell for cell,
+//! with the virtual GPU's dense one-thread-per-cell mapping (the paper's
+//! kernel layout), on a sequential or parallel device.
+//! [`engines_agree`] asserts that; the
 //! Figure-6b harness then layers the paper's GLM analysis on top using
 //! different seeds per repeat.
 
@@ -15,7 +17,7 @@ use simt::Device;
 use crate::engine::cpu::CpuEngine;
 use crate::engine::gpu::GpuEngine;
 use crate::engine::Engine;
-use crate::params::SimConfig;
+use crate::params::{IterationMode, SimConfig};
 
 /// Where two engine runs first disagreed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,10 +28,13 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// Run the CPU reference and a virtual-GPU engine (with `workers` host
-/// threads; 0 = sequential policy) side by side for `steps`, comparing
-/// snapshots every `check_every` steps. Returns the first divergence, or
-/// `None` when the trajectories are identical.
+/// Run the CPU reference and the virtual GPU (with `workers` host
+/// threads; 0 = sequential policy) in both kernel mappings side by side
+/// for `steps`, comparing snapshots every `check_every` steps. The oracle
+/// is simt's dense one-thread-per-cell mapping: the CPU reference and
+/// simt's sparse mapping, whatever `cfg.iteration` says, are each checked
+/// against it. Returns the first divergence, or `None` when the
+/// trajectories are identical.
 pub fn engines_agree(
     cfg: SimConfig,
     steps: u64,
@@ -42,39 +47,51 @@ pub fn engines_agree(
         ExecPolicy::Parallel { workers }
     };
     let device = Device::builder().policy(policy).build();
+    let mut oracle = GpuEngine::new(
+        cfg.clone().with_iteration_mode(IterationMode::Dense),
+        device.clone(),
+    );
     let mut cpu = CpuEngine::new(cfg.clone());
-    let mut gpu = GpuEngine::new(cfg, device);
+    let mut sparse = GpuEngine::new(cfg.with_iteration_mode(IterationMode::Sparse), device);
     let check_every = check_every.max(1);
     let mut done = 0u64;
     while done < steps {
         let burst = check_every.min(steps - done);
+        oracle.run(burst);
         cpu.run(burst);
-        gpu.run(burst);
+        sparse.run(burst);
         done += burst;
-        if cpu.mat_snapshot() != gpu.mat_snapshot() {
+        if let Some(detail) = first_difference(&oracle, &cpu) {
             return Some(Divergence {
                 step: done,
-                detail: "environment matrices differ".into(),
+                detail: format!("cpu vs simt dense: {detail}"),
             });
         }
-        if cpu.positions() != gpu.positions() {
+        if let Some(detail) = first_difference(&oracle, &sparse) {
             return Some(Divergence {
                 step: done,
-                detail: "agent positions differ".into(),
+                detail: format!("simt sparse vs simt dense: {detail}"),
             });
         }
-        let (mc, mg) = (cpu.metrics(), gpu.metrics());
-        if let (Some(mc), Some(mg)) = (mc, mg) {
-            if mc.throughput() != mg.throughput() {
-                return Some(Divergence {
-                    step: done,
-                    detail: format!(
-                        "throughput differs: cpu {} vs gpu {}",
-                        mc.throughput(),
-                        mg.throughput()
-                    ),
-                });
-            }
+    }
+    None
+}
+
+/// The first observable difference between the oracle and `other`.
+fn first_difference(oracle: &impl Engine, other: &impl Engine) -> Option<String> {
+    if oracle.mat_snapshot() != other.mat_snapshot() {
+        return Some("environment matrices differ".into());
+    }
+    if oracle.positions() != other.positions() {
+        return Some("agent positions differ".into());
+    }
+    if let (Some(mo), Some(m)) = (oracle.metrics(), other.metrics()) {
+        if mo.throughput() != m.throughput() {
+            return Some(format!(
+                "throughput differs: oracle {} vs {}",
+                mo.throughput(),
+                m.throughput()
+            ));
         }
     }
     None

@@ -39,12 +39,6 @@ impl ScanMatrix {
         self.rows
     }
 
-    /// Reset every slot (the supporting kernel's job, §IV.e).
-    pub fn clear(&mut self) {
-        self.vals.fill(0.0);
-        self.idxs.fill(SCAN_INVALID);
-    }
-
     /// The 8 values of agent `idx`'s row.
     #[inline]
     pub fn row_vals(&self, idx: usize) -> &[f32] {
@@ -108,14 +102,13 @@ mod tests {
     }
 
     #[test]
-    fn set_and_clear() {
+    fn set_writes_one_slot() {
         let mut s = ScanMatrix::new(2);
         s.set(1, 0, 3.5, 4);
         assert_eq!(s.row_vals(1)[0], 3.5);
         assert_eq!(s.row_idxs(1)[0], 4);
-        s.clear();
-        assert_eq!(s.row_vals(1)[0], 0.0);
-        assert_eq!(s.row_idxs(1)[0], SCAN_INVALID);
+        assert_eq!(s.row_vals(1)[1], 0.0);
+        assert_eq!(s.row_idxs(1)[1], SCAN_INVALID);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub struct RunResult {
     /// Worker-thread count of the executing backend (1 for sequential
     /// backends).
     pub threads: usize,
-    /// Stage-traversal mode the engine resolved at build time (`"dense"`
-    /// / `"sparse"`; an `Auto` configuration reports what it settled to).
+    /// Stage traversal the engine stepped with (`"sparse"` on the host
+    /// backends; `"dense"` or `"sparse"` on `simt`, as configured).
     pub mode: &'static str,
     /// World-configuration fingerprint ([`Scenario::config_hash`] for
     /// scenario worlds, an `EnvConfig` field hash for the classic
@@ -220,7 +220,10 @@ impl RunResult {
     /// Render as one results-registry [`Row`] under the given benchmark
     /// name, scale preset, and commit. Wall KPIs (steps/sec, per-stage
     /// ms/step) are derived from this result's timings; the flux column
-    /// is 0 when the run was shorter than the report window.
+    /// is 0 when the run was shorter than the report window. A `"dense"`
+    /// run (simt's one-thread-per-cell mapping) files under the world
+    /// `<world>/dense`, so its series never shares a baseline with the
+    /// agent-driven mapping of the same configuration.
     ///
     /// [`Row`]: pedsim_obs::registry::Row
     pub fn registry_row(
@@ -246,7 +249,11 @@ impl RunResult {
             commit: commit.to_owned(),
             scale: scale.to_owned(),
             bench: bench.to_owned(),
-            world: self.world.clone(),
+            world: if self.mode == "dense" {
+                format!("{}/dense", self.world)
+            } else {
+                self.world.clone()
+            },
             engine: self.engine.to_owned(),
             backend: self.backend.to_owned(),
             threads: self.threads as u64,
@@ -524,6 +531,20 @@ mod tests {
         assert_eq!(a.exhausted, 1);
         assert_eq!(a.throughput_total, 120);
         assert_eq!(a.wall_max, Duration::from_millis(9));
+    }
+
+    #[test]
+    fn dense_runs_key_a_registry_series_of_their_own() {
+        let sparse = result("a", 1, StopReason::StepBudget);
+        let mut dense = sparse.clone();
+        dense.mode = "dense";
+        let (s, d) = (
+            sparse.registry_row("bench", "smoke", "c0"),
+            dense.registry_row("bench", "smoke", "c0"),
+        );
+        assert_eq!(s.world, "paper_corridor");
+        assert_eq!(d.world, "paper_corridor/dense");
+        assert_ne!(s.series_key(), d.series_key());
     }
 
     #[test]

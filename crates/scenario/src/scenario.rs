@@ -28,6 +28,13 @@ pub enum ScenarioError {
         /// Declared group count.
         groups: usize,
     },
+    /// A wall cell's coordinates exceed the `u16` coordinate range (the
+    /// first such cell added through [`ScenarioBuilder::wall_cell`] or
+    /// [`ScenarioBuilder::wall_rect`]).
+    WallCoordinateOverflow {
+        /// The offending cell `(row, col)`.
+        cell: (usize, usize),
+    },
     /// A region or wall cell lies outside the grid.
     OutOfBounds {
         /// What was out of bounds.
@@ -88,6 +95,11 @@ impl std::fmt::Display for ScenarioError {
             Self::TooManyGroups { groups } => {
                 write!(f, "{groups} groups exceed the supported {MAX_GROUPS}")
             }
+            Self::WallCoordinateOverflow { cell } => write!(
+                f,
+                "wall cell ({}, {}) exceeds u16 coordinates",
+                cell.0, cell.1
+            ),
             Self::OutOfBounds { what, cell } => {
                 write!(f, "{what} cell ({}, {}) out of bounds", cell.0, cell.1)
             }
@@ -219,6 +231,7 @@ impl Scenario {
             width,
             height,
             walls: Vec::new(),
+            wall_overflow: None,
             slots: Vec::new(),
             default_population: 0,
             seed: 0,
@@ -577,30 +590,43 @@ pub struct ScenarioBuilder {
     width: usize,
     height: usize,
     walls: Vec<(u16, u16)>,
+    /// The first wall cell whose coordinates do not fit `u16`, reported
+    /// by [`ScenarioBuilder::build`].
+    wall_overflow: Option<(usize, usize)>,
     slots: Vec<GroupSlot>,
     default_population: usize,
     seed: u64,
 }
 
 impl ScenarioBuilder {
-    /// Add a single obstacle cell.
+    /// Add a single obstacle cell. Coordinates beyond `u16` make
+    /// [`ScenarioBuilder::build`] fail with
+    /// [`ScenarioError::WallCoordinateOverflow`].
     pub fn wall_cell(mut self, r: usize, c: usize) -> Self {
-        assert!(
-            r <= u16::MAX as usize && c <= u16::MAX as usize,
-            "wall cell ({r},{c}) exceeds u16 coordinates"
-        );
-        self.walls.push((r as u16, c as u16));
+        match (u16::try_from(r), u16::try_from(c)) {
+            (Ok(r), Ok(c)) => self.walls.push((r, c)),
+            _ => {
+                self.wall_overflow.get_or_insert((r, c));
+            }
+        }
         self
     }
 
-    /// Add a rectangle of obstacle cells.
+    /// Add a rectangle of obstacle cells (`rows × cols` from `(r0, c0)`).
+    /// A rectangle reaching past the `u16` coordinate range makes
+    /// [`ScenarioBuilder::build`] fail with
+    /// [`ScenarioError::WallCoordinateOverflow`] at its far corner.
     pub fn wall_rect(mut self, r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
-        assert!(
-            r0 + rows <= u16::MAX as usize && c0 + cols <= u16::MAX as usize,
-            "wall rectangle exceeds u16 coordinates"
-        );
-        for r in r0..r0 + rows {
-            for c in c0..c0 + cols {
+        if rows == 0 || cols == 0 {
+            return self;
+        }
+        let last = (r0.saturating_add(rows - 1), c0.saturating_add(cols - 1));
+        if last.0 > u16::MAX as usize || last.1 > u16::MAX as usize {
+            self.wall_overflow.get_or_insert(last);
+            return self;
+        }
+        for r in r0..=last.0 {
+            for c in c0..=last.1 {
                 self.walls.push((r as u16, c as u16));
             }
         }
@@ -693,6 +719,9 @@ impl ScenarioBuilder {
             return Err(ScenarioError::TooManyGroups {
                 groups: self.slots.len(),
             });
+        }
+        if let Some(cell) = self.wall_overflow {
+            return Err(ScenarioError::WallCoordinateOverflow { cell });
         }
         let in_bounds = |&(r, c): &(u16, u16)| (r as usize) < h && (c as usize) < w;
         let mut walls = self.walls;
@@ -961,6 +990,55 @@ mod tests {
         // Orthogonal groups' target bits land in the mask.
         let mask = s.target_mask();
         assert_eq!(mask.get(10, 22) & Group::new(2).target_bit(), 4);
+    }
+
+    #[test]
+    fn wall_coordinates_are_checked_in_build_not_panicked() {
+        let base = || {
+            Scenario::builder("t", 16, 16)
+                .spawn(Group::TOP, Region::row_band(0, 3, 16))
+                .spawn(Group::BOTTOM, Region::row_band(13, 3, 16))
+                .target(Group::TOP, Region::row_band(13, 3, 16))
+                .target(Group::BOTTOM, Region::row_band(0, 3, 16))
+                .agents_per_side(10)
+        };
+        let max = u16::MAX as usize;
+        // The boundary cell fits u16 through either entry point; on this
+        // grid it is merely out of bounds.
+        for b in [base().wall_cell(max, 2), base().wall_rect(max, 2, 1, 1)] {
+            assert!(matches!(
+                b.build(),
+                Err(ScenarioError::OutOfBounds {
+                    what: "wall",
+                    cell: (65535, 2)
+                })
+            ));
+        }
+        // One row past the range, and a rectangle whose end would wrap
+        // `usize`: both a typed error naming the far corner.
+        let err = base().wall_rect(max, 0, 2, 1).build().unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::WallCoordinateOverflow { cell: (max + 1, 0) }
+        );
+        assert!(err.to_string().contains("exceeds u16"));
+        assert_eq!(
+            base().wall_rect(usize::MAX, 1, 2, 1).build(),
+            Err(ScenarioError::WallCoordinateOverflow {
+                cell: (usize::MAX, 1)
+            })
+        );
+        // The first violation wins, and it beats any later bounds error.
+        assert_eq!(
+            base()
+                .wall_cell(3, max + 7)
+                .wall_cell(max + 9, 0)
+                .wall_cell(20, 0)
+                .build(),
+            Err(ScenarioError::WallCoordinateOverflow { cell: (3, max + 7) })
+        );
+        // Empty rectangles add nothing, wherever they sit.
+        assert!(base().wall_rect(usize::MAX, 0, 0, 5).build().is_ok());
     }
 
     #[test]

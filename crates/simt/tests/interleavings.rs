@@ -1,16 +1,17 @@
 //! Bounded interleaving exploration of the pool's concurrency core.
 //!
 //! These tests re-run the two protocols that rest on unsafe or atomic
-//! code — the fetch_or claim board used by the movement kernel's 3-phase
-//! protocol, and the pool's launch/panic paths — under hundreds of
-//! Philox-seeded schedule permutations, asserting schedule independence.
+//! code — a commutative fetch_or claim board (per-cell conflict
+//! resolution without a winner race), and the pool's launch/panic paths
+//! — under hundreds of Philox-seeded schedule permutations, asserting
+//! schedule independence.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use simt::exec::explore::{explore, permutation, run_permuted, run_permuted_serial};
 use simt::exec::pool::WorkerPool;
 
-/// The movement kernel's claim idiom: each contender ORs its slot bit
+/// The claim-board idiom: each contender ORs its slot bit
 /// into a per-cell byte. The winner is a pure function of the *set* of
 /// claimants (lowest set bit), so every schedule must agree.
 #[test]

@@ -1,10 +1,11 @@
 //! Bounded interleaving exploration of the full pooled backend.
 //!
 //! The pooled backend claims its trajectories are schedule-independent:
-//! the claim bytes commute, every other write is structurally disjoint,
-//! and all randomness is counter-based. This suite drives the backend's
-//! schedule knob ([`PooledEngine::set_schedule_seed`]) through hundreds
-//! of Philox-keyed permutations of every stage launch's band issue order
+//! every write is structurally disjoint (agent-keyed, or a winner's own
+//! source/destination cell) and all randomness is counter-based. This
+//! suite drives the backend's schedule knob
+//! ([`PooledEngine::set_schedule_seed`]) through hundreds of
+//! Philox-keyed permutations of every stage launch's band issue order
 //! and asserts bit-identity with the scalar reference throughout — the
 //! explorer's whole-engine acceptance case. Under
 //! `--features audit-runtime`, every scatter write in these runs is
@@ -70,40 +71,34 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
     }
 }
 
-/// Both stage-traversal modes, explicitly: the dense cell sweep and the
-/// sparse bucket-group iteration each survive 100 permuted schedules
-/// bit-identically. Under `--features audit-runtime` this is the
-/// whole-engine acceptance case for the sparse agent-keyed scatters —
-/// every bucket-group write of every permuted run passes the write-set
-/// race detector.
+/// The pooled backend's one traversal (bucket-group stages) survives
+/// 100 permuted schedules bit-identically to the simt dense oracle, the
+/// paper's one-thread-per-cell mapping. Under `--features audit-runtime`
+/// this is the whole-engine acceptance case for the agent-keyed
+/// scatters: every bucket-group write of every permuted run passes the
+/// write-set race detector.
 #[test]
 fn both_iteration_modes_are_schedule_independent() {
-    use pedsim::core::engine::pooled::PooledEngine;
-    let cfg = |mode: IterationMode| {
-        let env = EnvConfig::small(20, 20, 24).with_seed(77);
-        SimConfig::new(env, ModelKind::lem())
-            .with_checked(true)
-            .with_iteration_mode(mode)
-    };
-    let mut scalar = cpu_engine_small(20, 20, 24, ModelKind::lem(), 77);
-    scalar.run(15);
-    let golden = trajectory_hash(&scalar);
-    for mode in [IterationMode::Dense, IterationMode::Sparse] {
-        let explored = explore(0..100u64, |seed| {
-            let mut pooled = PooledEngine::new(cfg(mode), 3);
-            assert_eq!(pooled.iteration_mode(), mode);
-            pooled.set_schedule_seed(Some(seed));
-            pooled.run(15);
-            trajectory_hash(&pooled)
-        })
-        .unwrap_or_else(|d| panic!("{}: schedule divergence: {d}", mode.name()));
-        assert_eq!(
-            explored,
-            golden,
-            "{}: permuted pooled trajectories diverged from scalar",
-            mode.name()
-        );
-    }
+    use pedsim::core::engine::Backend;
+    let env = EnvConfig::small(20, 20, 24).with_seed(77);
+    let cfg = SimConfig::new(env, ModelKind::lem()).with_checked(true);
+    let mut oracle = Backend::simt()
+        .build(cfg.clone().with_iteration_mode(IterationMode::Dense))
+        .expect("simt");
+    oracle.run(15);
+    let golden = trajectory_hash(&oracle);
+    let explored = explore(0..100u64, |seed| {
+        let mut pooled = pooled_engine_small(20, 20, 24, ModelKind::lem(), 77, 3);
+        assert_eq!(pooled.iteration_mode(), IterationMode::Sparse);
+        pooled.set_schedule_seed(Some(seed));
+        pooled.run(15);
+        trajectory_hash(&pooled)
+    })
+    .unwrap_or_else(|d| panic!("schedule divergence: {d}"));
+    assert_eq!(
+        explored, golden,
+        "permuted pooled trajectories diverged from simt/dense"
+    );
 }
 
 /// The knob itself is inert: permuted dispatch equals natural dispatch,

@@ -1,10 +1,11 @@
 //! Cross-backend golden parity: every backend in the engine registry —
-//! scalar, pooled at any thread count, simt — must produce bit-identical
-//! trajectories on every registry world. The pooled backend's claim
-//! protocol is *proven* equivalent to the scalar gather in unit tests
-//! (`engine::pooled`); this suite pins the whole-trajectory consequence,
-//! including the legacy golden hashes captured before the backend
-//! registry existed.
+//! scalar, pooled at any thread count, simt in either kernel mapping —
+//! must produce bit-identical trajectories on every registry world. The
+//! oracle is simt's dense one-thread-per-cell mapping (the paper's
+//! kernel layout); the host backends' agent-driven stages and simt's
+//! sparse kernels are checked against it, and the legacy golden hashes
+//! captured before the backend registry existed anchor it to fixed
+//! bytes.
 
 use pedsim::core::engine::pooled::band_ranges;
 use pedsim::core::engine::Backend;
@@ -32,42 +33,30 @@ fn trajectory_hash(e: &impl Engine) -> u64 {
     fnv1a(bytes)
 }
 
-/// Run `cfg` for `steps` on every registry backend × thread count ×
-/// stage-traversal mode and return the scalar dense hash after
-/// asserting every other cell matches it. Sparse stepping is required
-/// to be a pure traversal-order optimisation: the O(live-agents) loops
-/// must reproduce the O(cells) sweep byte for byte on every backend.
+/// Run `cfg` for `steps` on simt's dense mapping (the oracle) and return
+/// its hash after asserting that scalar, pooled at 1/2/4 threads, and
+/// simt's sparse mapping all match it. The agent-driven paths must be a
+/// pure traversal-order optimisation: the O(live-agents) loops reproduce
+/// the O(cells) kernel layout byte for byte.
 fn assert_backends_agree(name: &str, cfg: SimConfig, steps: u64) -> u64 {
-    let mut scalar = Backend::scalar()
+    let mut oracle = Backend::simt()
         .build(cfg.clone().with_iteration_mode(IterationMode::Dense))
-        .expect("scalar");
-    scalar.run(steps);
-    let golden = trajectory_hash(&scalar);
-    for mode in [IterationMode::Dense, IterationMode::Sparse] {
-        let cfg = cfg.clone().with_iteration_mode(mode);
-        let tag = mode.name();
-        let mut scalar = Backend::scalar().build(cfg.clone()).expect("scalar");
-        scalar.run(steps);
+        .expect("simt");
+    oracle.run(steps);
+    let golden = trajectory_hash(&oracle);
+    let mut cells = vec![("scalar".to_string(), Backend::scalar())];
+    for threads in [1usize, 2, 4] {
+        cells.push((format!("pooled/t{threads}"), Backend::pooled(threads)));
+    }
+    cells.push(("simt/sparse".to_string(), Backend::simt()));
+    let cfg = cfg.with_iteration_mode(IterationMode::Sparse);
+    for (tag, backend) in cells {
+        let mut e = backend.build(cfg.clone()).expect("registered backend");
+        e.run(steps);
         assert_eq!(
-            trajectory_hash(&scalar),
+            trajectory_hash(&e),
             golden,
-            "{name}: scalar/{tag} diverged from scalar/dense"
-        );
-        for threads in [1usize, 2, 4] {
-            let mut pooled = Backend::pooled(threads).build(cfg.clone()).expect("pooled");
-            pooled.run(steps);
-            assert_eq!(
-                trajectory_hash(&pooled),
-                golden,
-                "{name}: pooled/t{threads}/{tag} diverged from scalar/dense"
-            );
-        }
-        let mut simt = Backend::simt().build(cfg).expect("simt");
-        simt.run(steps);
-        assert_eq!(
-            trajectory_hash(&simt),
-            golden,
-            "{name}: simt/{tag} diverged from scalar/dense"
+            "{name}: {tag} diverged from simt/dense"
         );
     }
     golden
@@ -123,6 +112,29 @@ fn all_registry_worlds_agree_across_backends() {
             let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
             assert_backends_agree(&format!("{name}/{}", model.name()), cfg, 30);
         }
+    }
+}
+
+/// The jammed regime: `paper_corridor` at 62.5 % occupancy (640 agents
+/// on 32×32, spawn bands filling the grid), where most movers contest a
+/// cell. Contested claims are where the agent-driven resolve (each
+/// claimant recomputes its target's draw) and the per-cell kernel are
+/// most likely to drift apart, so both models run the whole backend
+/// matrix against the simt dense oracle here.
+#[test]
+fn jammed_corridor_agrees_across_backends() {
+    let env = EnvConfig::small(32, 32, 320)
+        .with_seed(23)
+        .with_spawn_rows(16);
+    let scenario = registry::paper_corridor(&env);
+    for model in [ModelKind::lem(), ModelKind::aco()] {
+        let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
+        assert_backends_agree(&format!("jammed/{}", model.name()), cfg.clone(), 40);
+        // The jam still moves: the parity above covers real movement.
+        let mut e = Backend::scalar().build(cfg).expect("scalar");
+        e.run(40);
+        let moves = e.metrics().expect("metrics on").total_moves;
+        assert!(moves > 640, "{}: only {moves} moves in a jam", model.name());
     }
 }
 

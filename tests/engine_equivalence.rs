@@ -1,6 +1,9 @@
-//! Cross-crate integration: the CPU reference, the sequential virtual GPU,
-//! and the parallel virtual GPU must produce bit-identical trajectories
-//! (the strong form of the paper's §VI CPU-vs-GPU consistency check).
+//! Cross-crate integration: the CPU reference and the virtual GPU's
+//! sparse mapping must reproduce the virtual GPU's dense
+//! one-thread-per-cell mapping bit for bit, on sequential and parallel
+//! devices (the strong form of the paper's §VI CPU-vs-GPU consistency
+//! check). The `_sparse` cases run a lightly occupied grid (40 per side,
+//! ~3.5 %), the `_dense` cases a crowded one (400 per side, ~35 %).
 
 use pedsim::prelude::*;
 

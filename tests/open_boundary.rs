@@ -196,9 +196,9 @@ mod recycling_properties {
         /// step of an open-world run: `pos[a] = row[a]·w + col[a]` for
         /// *every* slot (dead ones mirror their last cell, exactly like
         /// `row`/`col`), `index[pos[a]] = a` for live ones
-        /// (`check_consistency` pins the round trip), and the sparse
-        /// trajectory stays byte-identical to the dense one on both the
-        /// scalar and simt backends while slots recycle underneath.
+        /// (`check_consistency` pins the round trip), and the scalar and
+        /// simt sparse trajectories stay byte-identical to the simt dense
+        /// oracle while slots recycle underneath.
         #[test]
         fn sparse_position_index_survives_spawn_despawn_churn(
             seed in 0u64..500,
@@ -213,10 +213,11 @@ mod recycling_properties {
             }
             .with_seed(seed);
             let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem()).with_checked(true);
-            let mut dense =
-                CpuEngine::new(cfg.clone().with_iteration_mode(IterationMode::Dense));
-            let mut sparse =
-                CpuEngine::new(cfg.clone().with_iteration_mode(IterationMode::Sparse));
+            let mut dense = GpuEngine::new(
+                cfg.clone().with_iteration_mode(IterationMode::Dense),
+                pedsim::simt::Device::sequential(),
+            );
+            let mut sparse = CpuEngine::new(cfg.clone());
             let mut simt_sparse = GpuEngine::new(
                 cfg.with_iteration_mode(IterationMode::Sparse),
                 pedsim::simt::Device::sequential(),
