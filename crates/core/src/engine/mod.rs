@@ -1,18 +1,19 @@
 //! Simulation engines.
 //!
-//! Three engines implement the identical model, selectable at runtime
+//! Two engines implement the identical model, selectable at runtime
 //! through the backend [`registry`]:
 //!
-//! * [`cpu::CpuEngine`] (`scalar`) — the single-threaded reference (the
-//!   paper's "sequential counterpart running on a single threaded CPU");
-//! * [`pooled::PooledEngine`] (`pooled`) — the tile-parallel pooled CPU
-//!   engine: count-balanced row buckets of live agents on a `simt`
-//!   worker pool;
+//! * [`pooled::PooledEngine`] — the host engine: count-balanced row
+//!   buckets of live agents, one task per bucket group. At one thread
+//!   (`scalar`, the paper's "sequential counterpart running on a single
+//!   threaded CPU") the tasks run inline on the calling thread; at more
+//!   (`pooled`) they run on a `simt` worker pool;
 //! * [`gpu::GpuEngine`] (`simt`) — the data-driven kernel pipeline on the
 //!   `simt` virtual GPU (sequential or parallel execution policy).
 //!
-//! The two host engines have one traversal each: agent-driven stages
-//! whose cost is O(live agents). `simt` keeps two kernel mappings
+//! The host engine has one traversal and one set of stage functions for
+//! every thread count: agent-driven stages whose cost is O(live agents).
+//! `simt` keeps two kernel mappings
 //! ([`IterationMode`](crate::params::IterationMode)): the paper's
 //! one-thread-per-cell `Dense` layout, which is the differential oracle,
 //! and the agent-driven `Sparse` one.
@@ -24,7 +25,6 @@
 //! by the integration tests, and then relaxed into the paper's
 //! statistical CPU-vs-GPU comparison for Figure 6b.
 
-pub mod cpu;
 pub mod gpu;
 pub mod lifecycle;
 pub mod pipeline;

@@ -1,6 +1,6 @@
 //! The unified step-pipeline core both engines drive.
 //!
-//! Before this module existed, `CpuEngine::step` and `GpuEngine::step`
+//! Before this module existed, the CPU and GPU engines' `step` methods
 //! each hand-rolled the same orchestration: run the four kernels in
 //! order, bump the step counter, observe metrics, run the open-boundary
 //! lifecycle. Only the GPU engine measured its stages. [`StepCore`] owns
@@ -382,8 +382,8 @@ impl StepCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::cpu::{cpu_engine_small, CpuEngine};
     use crate::engine::gpu::GpuEngine;
+    use crate::engine::pooled::{pooled_engine_small, PooledEngine};
     use crate::engine::Engine;
     use crate::params::{IterationMode, ModelKind, SimConfig};
     use pedsim_scenario::registry;
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn cpu_timings_are_monotone_and_cover_every_stage() {
-        let mut e = cpu_engine_small(24, 24, 20, ModelKind::lem(), 3);
+        let mut e = pooled_engine_small(24, 24, 20, ModelKind::lem(), 3, 1);
         assert_monotone_and_covering(&mut e, "cpu");
     }
 
@@ -464,7 +464,7 @@ mod tests {
     fn open_worlds_time_the_lifecycle_stage_on_both_engines() {
         let scenario = registry::open_corridor(24, 24, 20, 2.0).with_seed(5);
         let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem());
-        let mut cpu = CpuEngine::new(cfg.clone());
+        let mut cpu = PooledEngine::new(cfg.clone(), 1);
         let mut gpu = GpuEngine::new(cfg, Device::sequential());
         cpu.run(30);
         gpu.run(30);
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn telemetry_shape_is_engine_independent() {
-        let mut cpu = cpu_engine_small(24, 24, 20, ModelKind::lem(), 3);
+        let mut cpu = pooled_engine_small(24, 24, 20, ModelKind::lem(), 3, 1);
         let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
         // Pin dense: the launch-count assertions below encode the dense
         // one-launch-per-kernel-per-step contract (sparse movement issues
@@ -530,8 +530,8 @@ mod tests {
         // The timing instrumentation must be observation-only: two runs of
         // the same configuration produce identical trajectories no matter
         // what the clock reads.
-        let mut a = cpu_engine_small(24, 24, 16, ModelKind::aco(), 11);
-        let mut b = cpu_engine_small(24, 24, 16, ModelKind::aco(), 11);
+        let mut a = pooled_engine_small(24, 24, 16, ModelKind::aco(), 11, 1);
+        let mut b = pooled_engine_small(24, 24, 16, ModelKind::aco(), 11, 1);
         a.run(25);
         b.run(25);
         assert_eq!(a.mat_snapshot(), b.mat_snapshot());

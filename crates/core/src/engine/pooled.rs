@@ -1,23 +1,25 @@
-//! The tile-parallel pooled CPU backend (`pooled` in the backend
-//! registry).
+//! The host engine (`scalar` and `pooled` in the backend registry).
 //!
-//! A multi-threaded host engine on the `simt` [`WorkerPool`]. Like the
-//! scalar engine it steps agent-driven: live agents are bucketed by
-//! contiguous row bands ([`RowBuckets`]) and every kernel stage runs over
-//! count-balanced groups of buckets, so no task visits an empty cell.
-//! Every output slot is written by exactly one task — agent slots by the
-//! task owning the agent's bucket, grid cells by the unique winner moving
-//! out of or into them — so no locks are held in any hot loop. Only the
-//! ACO pheromone evaporation sweeps the (dense) field, over cell bands
+//! One set of stage functions serves every thread count. Live agents are
+//! bucketed by contiguous row bands ([`RowBuckets`]) and every kernel
+//! stage runs over count-balanced groups of buckets, so no task visits an
+//! empty cell. At `threads > 1` the task groups run on a `simt`
+//! [`WorkerPool`]; at one thread no pool is built and [`dispatch`] runs
+//! the same task ids one after another on the calling thread — the
+//! paper's "sequential counterpart running on a single threaded CPU"
+//! (`scalar` is this engine at one thread). Every output slot is written
+//! by exactly one task — agent slots by the task owning the agent's
+//! bucket, grid cells by the unique winner moving out of or into them —
+//! so no locks are held in any hot loop. Only the ACO pheromone
+//! evaporation sweeps the (dense) field, over cell bands
 //! ([`band_ranges`]).
 //!
 //! Movement shares no claim state between tasks: each mover recomputes
 //! [`gather_winner`] at its target cell with that cell's own RNG stream
 //! — the draw simt's one-thread-per-cell movement kernel makes there —
 //! and records whether it won; winners then move in place. Trajectories
-//! are therefore **bit-identical to `scalar` and to simt's dense oracle
-//! at every thread count** — asserted by the cross-backend golden parity
-//! tests.
+//! are therefore **bit-identical to simt's dense oracle at every thread
+//! count** — asserted by the cross-backend golden parity tests.
 
 use std::sync::Arc;
 
@@ -34,8 +36,7 @@ use crate::model::{
 };
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
-use super::cpu::HostWorld;
-use super::lifecycle::OpenLifecycle;
+use super::lifecycle::{LifecycleWorld, OpenLifecycle};
 use super::pipeline::{Stage, StageBackend, StepCore, StepTimings};
 use super::{swap_model, Engine, ModelSwapError, KERNEL_MOVE, KERNEL_TOUR};
 use crate::world::CompiledWorld;
@@ -96,10 +97,18 @@ impl WriteSet {
         let prev = self.owners[i].swap(me, std::sync::atomic::Ordering::Relaxed);
         if prev != 0 {
             panic!(
-                "tile race: slot {i} written by task {} after task {} in the same phase",
-                me.wrapping_sub(2),
-                prev.wrapping_sub(2),
+                "tile race: slot {i} written by {} after {} in the same phase",
+                Self::writer(me),
+                Self::writer(prev),
             );
+        }
+    }
+
+    /// Name an owner word for the race report.
+    fn writer(owner: u32) -> String {
+        match owner {
+            1 => "the host thread".to_string(),
+            b => format!("task {}", b - 2),
         }
     }
 }
@@ -149,6 +158,24 @@ impl<'a, T: Copy> Scatter<'a, T> {
         unsafe { *self.ptr.add(i) = v }
     }
 
+    /// Run `f` over the slots of `band` as one mutable slice, for sweeps
+    /// that own a contiguous run of slots. Under `audit-runtime` every
+    /// slot of the band is noted in the write set, as [`Scatter::write`]
+    /// would.
+    ///
+    /// SAFETY: `band` must be in bounds and, while `f` runs, neither
+    /// written nor read by any other task.
+    #[inline]
+    unsafe fn with_band(&self, band: std::ops::Range<usize>, f: impl FnOnce(&mut [T])) {
+        debug_assert!(band.start <= band.end && band.end <= self.len);
+        #[cfg(feature = "audit-runtime")]
+        for i in band.clone() {
+            self.ws.note(i);
+        }
+        // SAFETY: in bounds and exclusive to this task (caller contract).
+        f(unsafe { std::slice::from_raw_parts_mut(self.ptr.add(band.start), band.len()) })
+    }
+
     /// Read slot `i`.
     ///
     /// SAFETY: `i` must be in bounds and, within the current phase, only
@@ -161,7 +188,7 @@ impl<'a, T: Copy> Scatter<'a, T> {
 }
 
 /// Live agents bucketed by contiguous row bands — the iteration surface
-/// of the pooled backend.
+/// of the host engine.
 ///
 /// Each bucket holds the live slots whose current row falls inside its
 /// band; per-slot back-pointers make insert/remove/move O(1). Stage
@@ -177,7 +204,7 @@ impl<'a, T: Copy> Scatter<'a, T> {
 /// every stage write is agent- or cell-keyed — so bucket order
 /// only has to be deterministic for reproducible *performance* and for
 /// the audit fixtures.
-pub(crate) struct RowBuckets {
+struct RowBuckets {
     rows_per_bucket: usize,
     /// Bucket → live slots (deterministic maintenance order).
     members: Vec<Vec<u32>>,
@@ -190,7 +217,7 @@ pub(crate) struct RowBuckets {
 impl RowBuckets {
     /// Buckets covering `height` rows in bands of roughly
     /// `height / buckets_hint` rows, over `capacity + 1` slots.
-    pub(crate) fn new(height: usize, capacity: usize, buckets_hint: usize) -> Self {
+    fn new(height: usize, capacity: usize, buckets_hint: usize) -> Self {
         let rows_per_bucket = height.div_ceil(buckets_hint.clamp(1, height.max(1))).max(1);
         let n_buckets = height.div_ceil(rows_per_bucket).max(1);
         Self {
@@ -203,29 +230,29 @@ impl RowBuckets {
 
     /// The bucket owning row `r`.
     #[inline]
-    pub(crate) fn bucket_of_row(&self, r: usize) -> usize {
+    fn bucket_of_row(&self, r: usize) -> usize {
         r / self.rows_per_bucket
     }
 
     /// Number of buckets.
-    pub(crate) fn n_buckets(&self) -> usize {
+    fn n_buckets(&self) -> usize {
         self.members.len()
     }
 
     /// The live slots of bucket `b`.
     #[inline]
-    pub(crate) fn members(&self, b: usize) -> &[u32] {
+    fn members(&self, b: usize) -> &[u32] {
         &self.members[b]
     }
 
     /// Total bucketed (live) slots.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.members.iter().map(Vec::len).sum()
     }
 
     /// Drop all membership and re-insert every live slot in ascending
     /// slot order.
-    pub(crate) fn rebuild(&mut self, alive: &[bool], rows: &[u16]) {
+    fn rebuild(&mut self, alive: &[bool], rows: &[u16]) {
         for m in &mut self.members {
             m.clear();
         }
@@ -238,7 +265,7 @@ impl RowBuckets {
     }
 
     /// Add a live slot standing on `row`.
-    pub(crate) fn insert(&mut self, slot: u32, row: u16) {
+    fn insert(&mut self, slot: u32, row: u16) {
         debug_assert_eq!(self.slot_bucket[slot as usize], u32::MAX);
         let b = self.bucket_of_row(row as usize);
         self.slot_bucket[slot as usize] = b as u32;
@@ -248,7 +275,7 @@ impl RowBuckets {
 
     /// Remove a slot (despawn): O(1) swap-remove, fixing the back-pointer
     /// of the member swapped into its place.
-    pub(crate) fn remove(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         let b = self.slot_bucket[slot as usize] as usize;
         debug_assert_ne!(b, u32::MAX as usize, "removing unbucketed slot {slot}");
         let p = self.slot_pos[slot as usize] as usize;
@@ -262,7 +289,7 @@ impl RowBuckets {
     /// Re-home a slot that moved to `row` — a no-op unless the move
     /// crossed a band boundary (moves are ≤ 1 row per step, so this is
     /// the incremental path: most steps touch nothing).
-    pub(crate) fn move_to(&mut self, slot: u32, row: u16) {
+    fn move_to(&mut self, slot: u32, row: u16) {
         let b = self.bucket_of_row(row as usize);
         if self.slot_bucket[slot as usize] as usize != b {
             self.remove(slot);
@@ -274,7 +301,7 @@ impl RowBuckets {
     /// **member count**: group `t` closes once the cumulative count
     /// reaches `⌈(t+1)·total/parts⌉`. Trailing empty buckets may stay
     /// unassigned (they contribute no agents).
-    pub(crate) fn task_groups(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
+    fn task_groups(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
         let parts = parts.max(1);
         let total = self.len();
         let mut out = Vec::with_capacity(parts);
@@ -296,7 +323,7 @@ impl RowBuckets {
     /// live slot bucketed exactly once, in the bucket its row maps to,
     /// with a correct back-pointer; no dead slot bucketed.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn check_consistency(&self, alive: &[bool], rows: &[u16]) -> Result<(), String> {
+    fn check_consistency(&self, alive: &[bool], rows: &[u16]) -> Result<(), String> {
         let mut seen = vec![false; alive.len()];
         for (b, m) in self.members.iter().enumerate() {
             for (p, &slot) in m.iter().enumerate() {
@@ -323,15 +350,15 @@ impl RowBuckets {
     }
 }
 
-/// The tile-parallel pooled engine.
+/// The host engine: inline at one thread, tile-parallel above.
 pub struct PooledEngine {
     core: StepCore,
     backend: PooledBackend,
 }
 
-/// The pooled engine's kernel-stage executor: the same host-side world
-/// the scalar backend loops over, plus the worker pool and the row
-/// buckets it dispatches over.
+/// The host engine's kernel-stage executor: the host-side world, the
+/// row buckets every stage dispatches over, and the worker pool (absent
+/// at one thread).
 struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
@@ -342,7 +369,9 @@ struct PooledBackend {
     pher_next: Option<PheromoneField>,
     dist: Arc<DistanceData>,
     seed: u64,
-    pool: WorkerPool,
+    /// The worker pool; `None` at one thread, where [`dispatch`] runs
+    /// every task inline.
+    pool: Option<WorkerPool>,
     /// When set, every stage launch permutes its band issue order with a
     /// Philox schedule keyed by `(seed, launch_counter)` — the
     /// interleaving explorer's handle into this backend. `None` (the
@@ -358,36 +387,81 @@ struct PooledBackend {
     won: Vec<u32>,
 }
 
-/// Run `f` over `0..parts` on the pool, optionally permuting the issue
+/// The worker pool for `threads` workers, or `None` at one thread.
+fn worker_pool(threads: usize) -> Option<WorkerPool> {
+    (threads > 1).then(|| WorkerPool::new(threads))
+}
+
+/// Run `f` over `0..parts` on the pool, or inline on the calling thread
+/// in task order when there is none, optionally permuting the dispatch
 /// order with the schedule key. A free function (not a method) so stages
 /// can call it while holding field borrows of the backend.
 fn dispatch(
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     schedule: Option<(u64, u64)>,
     parts: usize,
     f: &(dyn Fn(usize) + Sync),
 ) {
-    match schedule {
-        None => pool.run(parts, f),
-        Some((seed, launch)) => {
-            let perm = simt::exec::explore::permutation(seed, launch, parts);
-            simt::exec::explore::run_permuted(pool, &perm, f);
-        }
+    use simt::exec::explore::{permutation, run_permuted};
+    let perm = schedule.map(|(seed, launch)| permutation(seed, launch, parts));
+    match (pool, perm) {
+        (Some(pool), None) => pool.run(parts, f),
+        (Some(pool), Some(perm)) => run_permuted(pool, &perm, f),
+        (None, None) => (0..parts).for_each(f),
+        (None, Some(perm)) => perm.into_iter().for_each(f),
+    }
+}
+
+/// The lifecycle's view of the host world: the environment, the tour
+/// lengths (a recycled slot starts a fresh tour) and the row buckets,
+/// kept in lock-step with the liveness table.
+struct HostWorld<'a> {
+    env: &'a mut Environment,
+    tour: &'a mut TourLengths,
+    buckets: &'a mut RowBuckets,
+}
+
+impl LifecycleWorld for HostWorld<'_> {
+    fn is_alive(&self, i: usize) -> bool {
+        self.env.is_alive(i)
+    }
+
+    fn position(&self, i: usize) -> (u16, u16) {
+        self.env.props.position(i)
+    }
+
+    fn is_cell_empty(&self, r: u16, c: u16) -> bool {
+        self.env.mat.get(r as usize, c as usize) == CELL_EMPTY
+    }
+
+    fn despawn(&mut self, g: Group, i: usize) {
+        self.env.despawn(g, i);
+        self.buckets.remove(i as u32);
+    }
+
+    fn spawn(&mut self, g: Group, r: u16, c: u16) -> Option<u32> {
+        let idx = self.env.spawn_from_free(g, r, c)?;
+        self.tour.len[idx as usize] = 0.0;
+        self.buckets.insert(idx, r);
+        Some(idx)
     }
 }
 
 impl PooledEngine {
-    /// Build the engine with `threads` pool workers (runs the
-    /// data-preparation stage, like the other backends). A thin
-    /// compile-then-construct wrapper over [`PooledEngine::from_world`].
+    /// Build the engine with `threads` workers (runs the data-preparation
+    /// stage, §IV.a — from the attached scenario when present, else the
+    /// classic corridor). One thread builds no pool and runs every stage
+    /// inline. A thin compile-then-construct wrapper over
+    /// [`PooledEngine::from_world`].
     pub fn new(cfg: SimConfig, threads: usize) -> Self {
         let world = CompiledWorld::compile(&cfg);
         Self::from_world(&world, cfg, threads)
     }
 
-    /// Build per-replica engine state with `threads` pool workers from an
-    /// already compiled world. Bit-identical to [`PooledEngine::new`] on
-    /// the same configuration.
+    /// Build per-replica engine state with `threads` workers from an
+    /// already compiled world: clones the placed environment template and
+    /// shares the distance planes. Bit-identical to [`PooledEngine::new`]
+    /// on the same configuration, at every thread count.
     pub fn from_world(
         world: &std::sync::Arc<CompiledWorld>,
         cfg: SimConfig,
@@ -421,10 +495,17 @@ impl PooledEngine {
             ModelKind::Lem(_) => (None, None),
         };
         let seed = cfg.env.seed;
-        let pool = WorkerPool::new(threads);
+        let threads = threads.max(1);
         // Finer than the task count so count-balanced grouping has room
-        // to equalise (BANDS_PER_WORKER × 4 buckets per worker).
-        let hint = pool.workers() * BANDS_PER_WORKER * 4;
+        // to equalise (BANDS_PER_WORKER × 4 buckets per worker). One
+        // thread has nothing to balance: a single bucket keeps the stages
+        // visiting live slots in ascending slot order, the layout order
+        // of the slot-keyed arrays.
+        let hint = if threads == 1 {
+            1
+        } else {
+            threads * BANDS_PER_WORKER * 4
+        };
         let mut buckets = RowBuckets::new(env.height(), n, hint);
         buckets.rebuild(&env.alive, &env.props.row);
         Self {
@@ -438,7 +519,7 @@ impl PooledEngine {
                 pher_next,
                 dist,
                 seed,
-                pool,
+                pool: worker_pool(threads),
                 schedule_seed: None,
                 launches: std::cell::Cell::new(0),
                 buckets,
@@ -448,17 +529,18 @@ impl PooledEngine {
         }
     }
 
-    /// Number of pool worker threads.
+    /// Number of worker threads (1 = inline, no pool).
     pub fn threads(&self) -> usize {
-        self.backend.pool.workers()
+        self.backend.threads()
     }
 
     /// Permute every stage launch's band issue order with a Philox
     /// schedule keyed on `seed` (or restore natural order with `None`).
+    /// At one thread the inline tasks run in the permuted order.
     ///
     /// Trajectories are claimed to be schedule-independent; the
     /// interleaving-exploration tests drive this knob over hundreds of
-    /// seeds and assert bit-identity against the scalar backend.
+    /// seeds and assert bit-identity against the unpermuted run.
     pub fn set_schedule_seed(&mut self, seed: Option<u64>) {
         self.backend.schedule_seed = seed;
     }
@@ -469,6 +551,8 @@ impl PooledEngine {
     }
 
     /// Replace the model parameters mid-run (the panic-alarm extension).
+    /// A model-*variant* change is a typed error — a LEM run has no
+    /// pheromone substrate to become an ACO run.
     pub fn set_model(&mut self, model: ModelKind) -> Result<(), ModelSwapError> {
         swap_model(&mut self.backend.cfg.model, model)
     }
@@ -485,9 +569,14 @@ impl PooledEngine {
 }
 
 impl PooledBackend {
+    /// Worker threads (1 = inline, no pool).
+    fn threads(&self) -> usize {
+        self.pool.as_ref().map_or(1, WorkerPool::workers)
+    }
+
     /// Bands to dispatch per stage.
     fn parts(&self) -> usize {
-        self.pool.workers() * BANDS_PER_WORKER
+        self.threads() * BANDS_PER_WORKER
     }
 
     /// Schedule key for the next launch, if permuted dispatch is on.
@@ -517,7 +606,7 @@ impl PooledBackend {
         let groups = buckets.task_groups(parts);
         let fr = Scatter::new(&mut self.env.props.future_row);
         let fc = Scatter::new(&mut self.env.props.future_col);
-        dispatch(&self.pool, schedule, parts, &|t| {
+        dispatch(self.pool.as_ref(), schedule, parts, &|t| {
             for bkt in groups[t].clone() {
                 for &a in buckets.members(bkt) {
                     // SAFETY: agent-unique slots (bucket-disjoint tasks).
@@ -549,7 +638,7 @@ impl PooledBackend {
         let si = Scatter::new(&mut self.scan.idxs);
         let front = Scatter::new(&mut props.front);
         let front_k = Scatter::new(&mut props.front_k);
-        dispatch(&self.pool, schedule, parts, &|t| {
+        dispatch(self.pool.as_ref(), schedule, parts, &|t| {
             let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
             for bkt in groups[t].clone() {
                 for &a in buckets.members(bkt) {
@@ -600,7 +689,7 @@ impl PooledBackend {
         let pcol = &props.col;
         let fr = Scatter::new(&mut props.future_row);
         let fc = Scatter::new(&mut props.future_col);
-        dispatch(&self.pool, schedule, parts, &|t| {
+        dispatch(self.pool.as_ref(), schedule, parts, &|t| {
             for bkt in groups[t].clone() {
                 for &a in buckets.members(bkt) {
                     let a = a as usize;
@@ -652,9 +741,10 @@ impl PooledBackend {
         let groups = self.buckets.task_groups(parts);
 
         // Pheromone evaporation sweep (ACO): the field itself is dense,
-        // so every plane evaporates band-parallel; the apply phase then
-        // overwrites the winners' destination slots with the fused
-        // evaporate+deposit value the per-cell kernel computes there.
+        // so every plane evaporates band by band, each band through one
+        // slice; the apply phase then overwrites the winners' destination
+        // slots with the fused evaporate+deposit value the per-cell
+        // kernel computes there.
         if let Some(p) = aco {
             let schedule = self.next_schedule();
             let pin = self.pher.as_ref().expect("ACO pheromone");
@@ -669,14 +759,17 @@ impl PooledBackend {
             let planes = pin.planes();
             let cells = self.geom.height * w;
             let cell_bands = band_ranges(cells, parts);
-            dispatch(&self.pool, schedule, parts, &|b| {
+            dispatch(self.pool.as_ref(), schedule, parts, &|b| {
+                let band = &cell_bands[b];
                 for (src, pout) in planes.iter().zip(&pouts) {
-                    let src = src.as_slice();
-                    for i in cell_bands[b].clone() {
-                        // SAFETY: band-disjoint slots.
-                        unsafe {
-                            pout.write(i, PheromoneField::fused_update(src[i], p.tau0, p.rho, 0.0));
-                        }
+                    let src = &src.as_slice()[band.clone()];
+                    // SAFETY: band-disjoint slots.
+                    unsafe {
+                        pout.with_band(band.clone(), |dst| {
+                            for (o, &i) in dst.iter_mut().zip(src) {
+                                *o = PheromoneField::fused_update(i, p.tau0, p.rho, 0.0);
+                            }
+                        });
                     }
                 }
             });
@@ -691,7 +784,7 @@ impl PooledBackend {
             let props = &self.env.props;
             let seed = self.seed;
             let won = Scatter::new(&mut self.won);
-            dispatch(&self.pool, schedule, parts, &|t| {
+            dispatch(self.pool.as_ref(), schedule, parts, &|t| {
                 let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
                 let idx = |r: i64, c: i64| index.get_or(r, c, 0);
                 let fut = |a: u32| (props.future_row[a as usize], props.future_col[a as usize]);
@@ -755,7 +848,7 @@ impl PooledBackend {
                     .collect(),
                 None => Vec::new(),
             };
-            dispatch(&self.pool, schedule, parts, &|t| {
+            dispatch(self.pool.as_ref(), schedule, parts, &|t| {
                 let mut moved: Vec<(u32, u16)> = Vec::new();
                 for bkt in groups[t].clone() {
                     for &a in buckets.members(bkt) {
@@ -827,8 +920,8 @@ impl PooledBackend {
 
 impl StageBackend for PooledBackend {
     fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
-        // Like the scalar backend, no launch machinery to report: the
-        // kernel counters stay at the zeros the core pre-registered.
+        // No launch machinery to report: the kernel counters stay at the
+        // zeros the core pre-registered.
         match stage {
             Stage::Init => self.stage_init(),
             Stage::InitialCalc => self.stage_initial_calc(),
@@ -851,7 +944,7 @@ impl StageBackend for PooledBackend {
         let mut world = HostWorld {
             env: &mut self.env,
             tour: &mut self.tour,
-            buckets: Some(&mut self.buckets),
+            buckets: &mut self.buckets,
         };
         lifecycle.run_step(&mut world, step, metrics);
         #[cfg(debug_assertions)]
@@ -902,7 +995,8 @@ impl Engine for PooledEngine {
     }
 }
 
-/// Convenience: build a pooled engine for a small classic corridor.
+/// Convenience: build a host engine with `threads` workers for a small
+/// classic corridor (tests/examples).
 pub fn pooled_engine_small(
     width: usize,
     height: usize,
@@ -918,7 +1012,31 @@ pub fn pooled_engine_small(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::cpu::cpu_engine_small;
+    use crate::engine::gpu::GpuEngine;
+    use crate::params::{AcoParams, LemParams};
+
+    /// The inline one-thread engine on a 32×32 corridor, run `steps`.
+    fn run_small(model: ModelKind, steps: u64) -> PooledEngine {
+        let mut e = pooled_engine_small(32, 32, 30, model, 42, 1);
+        e.run(steps);
+        e
+    }
+
+    /// simt's one-thread-per-cell dense mapping of the same corridor: the
+    /// oracle the host engine must reproduce byte for byte.
+    fn dense_oracle(
+        width: usize,
+        height: usize,
+        per_side: usize,
+        model: ModelKind,
+        seed: u64,
+    ) -> GpuEngine {
+        let env = EnvConfig::small(width, height, per_side).with_seed(seed);
+        let cfg = SimConfig::new(env, model)
+            .with_checked(true)
+            .with_iteration_mode(IterationMode::Dense);
+        GpuEngine::new(cfg, simt::Device::sequential())
+    }
 
     #[test]
     fn band_ranges_cover_exactly_once() {
@@ -935,32 +1053,187 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scalar_closed_world() {
+    fn sparse_matches_dense_bit_for_bit() {
+        // The inline one-thread path, checked after every step.
         for model in [ModelKind::lem(), ModelKind::aco()] {
-            let mut scalar = cpu_engine_small(32, 32, 60, model, 5);
-            scalar.run(40);
+            let mut dense = dense_oracle(32, 32, 30, model, 42);
+            let env = EnvConfig::small(32, 32, 30).with_seed(42);
+            // The host engine ignores the simt kernel mapping.
+            let cfg = SimConfig::new(env, model)
+                .with_checked(true)
+                .with_iteration_mode(IterationMode::Dense);
+            let mut sparse = PooledEngine::new(cfg, 1);
+            assert_eq!(dense.iteration_mode(), IterationMode::Dense);
+            assert_eq!(sparse.iteration_mode(), IterationMode::Sparse);
+            for step in 1..=40u64 {
+                dense.step();
+                sparse.step();
+                assert_eq!(
+                    dense.mat_snapshot(),
+                    sparse.mat_snapshot(),
+                    "{} diverged at step {step}",
+                    model.name()
+                );
+                assert_eq!(dense.positions(), sparse.positions());
+                sparse
+                    .environment()
+                    .check_consistency()
+                    .expect("sparse consistent");
+            }
+            if let Some(planes) = dense.pheromone_snapshot() {
+                let host = sparse.pheromone().unwrap();
+                for (gi, plane) in planes.iter().enumerate() {
+                    assert_eq!(
+                        plane.as_slice(),
+                        host.of(Group::new(gi)).as_slice(),
+                        "pheromone diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_matches_simt_dense_closed_world() {
+        for model in [ModelKind::lem(), ModelKind::aco()] {
+            let mut dense = dense_oracle(32, 32, 60, model, 5);
+            dense.run(40);
             for threads in [1, 2, 4] {
                 let mut pooled = pooled_engine_small(32, 32, 60, model, 5, threads);
                 pooled.run(40);
                 assert_eq!(
-                    scalar.mat_snapshot(),
+                    dense.mat_snapshot(),
                     pooled.mat_snapshot(),
                     "{} diverged at {threads} threads",
                     model.name()
                 );
-                assert_eq!(scalar.positions(), pooled.positions());
+                assert_eq!(dense.positions(), pooled.positions());
             }
         }
     }
 
     #[test]
     fn pooled_consistency_and_progress() {
-        let mut e = pooled_engine_small(32, 32, 30, ModelKind::lem(), 42, 3);
-        e.run(100);
+        // Agents are conserved and cross the corridor, inline and pooled.
+        for (model, threads) in [
+            (ModelKind::lem(), 1),
+            (ModelKind::lem(), 3),
+            (ModelKind::aco(), 1),
+        ] {
+            let mut e = pooled_engine_small(32, 32, 30, model, 42, threads);
+            e.run(100);
+            e.environment().check_consistency().expect("consistent");
+            let m = e.metrics().expect("metrics on");
+            assert!(
+                m.total_moves > 0,
+                "nobody moved ({} t{threads})",
+                model.name()
+            );
+            // On a 32-row grid with ~4 spawn rows, 100 steps crosses many.
+            assert!(
+                m.throughput() > 0,
+                "no crossings ({} t{threads})",
+                model.name()
+            );
+        }
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let a = run_small(ModelKind::aco(), 30);
+        let b = run_small(ModelKind::aco(), 30);
+        assert_eq!(a.mat_snapshot(), b.mat_snapshot());
+        assert_eq!(a.positions(), b.positions());
+    }
+
+    #[test]
+    fn seeds_change_trajectories() {
+        let mut a = pooled_engine_small(32, 32, 30, ModelKind::lem(), 1, 1);
+        let mut b = pooled_engine_small(32, 32, 30, ModelKind::lem(), 2, 1);
+        a.run(20);
+        b.run(20);
+        assert_ne!(a.mat_snapshot(), b.mat_snapshot());
+    }
+
+    #[test]
+    fn moves_are_single_cell() {
+        let mut e = pooled_engine_small(24, 24, 20, ModelKind::lem(), 7, 1);
+        let (mut pr, mut pc) = e.positions();
+        for _ in 0..30 {
+            e.step();
+            let (r, c) = e.positions();
+            for i in 1..r.len() {
+                let dr = (i64::from(r[i]) - i64::from(pr[i])).abs();
+                let dc = (i64::from(c[i]) - i64::from(pc[i])).abs();
+                assert!(dr <= 1 && dc <= 1, "agent {i} jumped ({dr},{dc})");
+            }
+            pr = r;
+            pc = c;
+        }
+    }
+
+    #[test]
+    fn pheromone_stays_positive_and_grows_on_trails() {
+        let e = run_small(ModelKind::aco(), 40);
+        let p = e.pheromone().expect("ACO field");
+        let top = p.of(Group::TOP).as_slice();
+        assert!(top.iter().all(|&v| v >= p.tau0 * 0.999));
+        // Somewhere, someone deposited.
+        let max = top.iter().cloned().fold(0.0f32, f32::max);
+        assert!(max > p.tau0, "no deposits after 40 steps");
+    }
+
+    #[test]
+    fn tour_lengths_accumulate_for_aco() {
+        let e = run_small(ModelKind::aco(), 40);
+        let total: f32 = e.tour_lengths().len.iter().sum();
+        assert!(total > 0.0);
+    }
+
+    #[test]
+    fn set_model_rejects_variant_change_with_typed_error() {
+        let mut e = pooled_engine_small(16, 16, 4, ModelKind::lem(), 1, 1);
+        let err = e.set_model(ModelKind::aco()).unwrap_err();
+        assert_eq!(err.running, "LEM");
+        assert_eq!(err.requested, "ACO");
+        assert!(err.to_string().contains("variant"));
+        // Parameter overlays within the running variant stay fine — the
+        // panic-alarm extension's happy path.
+        let overlay = ModelKind::Lem(LemParams {
+            sigma: 4.0,
+            ..LemParams::default()
+        });
+        assert!(e.set_model(overlay).is_ok());
+        assert_eq!(e.model(), overlay);
+    }
+
+    #[test]
+    fn forward_priority_off_still_works() {
+        let model = ModelKind::Lem(LemParams {
+            forward_priority: false,
+            ..LemParams::default()
+        });
+        let e = run_small(model, 30);
         e.environment().check_consistency().expect("consistent");
-        let m = e.metrics().expect("metrics on");
-        assert!(m.total_moves > 0, "nobody moved");
-        assert!(m.throughput() > 0, "no crossings");
+    }
+
+    #[test]
+    fn high_evaporation_keeps_field_near_floor() {
+        let model = ModelKind::Aco(AcoParams {
+            rho: 1.0,
+            ..AcoParams::default()
+        });
+        let e = run_small(model, 20);
+        let p = e.pheromone().expect("field");
+        // With ρ=1 everything evaporates to the floor each step except
+        // fresh deposits.
+        let above = p
+            .of(Group::TOP)
+            .as_slice()
+            .iter()
+            .filter(|&&v| v > p.tau0 * 1.5)
+            .count();
+        assert!(above < 40, "{above} cells hold stale pheromone");
     }
 
     /// Seed a deliberate overlap into the tile partition and show the
@@ -1158,36 +1431,42 @@ mod tests {
     /// The same seeded bucket overlap, caught at runtime by the
     /// write-set race detector guarding the sparse stages' agent-keyed
     /// scatters: the twice-assigned bucket's agent slot is written by
-    /// two tasks in one phase, so the second write panics and the pool
-    /// re-raises on the launching thread.
+    /// two tasks in one phase, so the second write panics — on the pool
+    /// (which re-raises on the launching thread) and on the inline
+    /// one-thread path, both in permuted dispatch order.
     #[cfg(feature = "audit-runtime")]
     #[test]
     fn detector_catches_seeded_bucket_overlap() {
-        let pool = WorkerPool::new(4);
         let buckets = seeded_buckets();
         let parts = 4;
         let mut groups = buckets.task_groups(parts);
         groups[1] = groups[1].start - 1..groups[1].end;
-        let mut data = vec![u32::MAX; 49];
-        let out = Scatter::new(&mut data);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(parts, &|t| {
-                for b in groups[t].clone() {
-                    for &a in buckets.members(b) {
-                        // SAFETY: bounds hold; agent-uniqueness is
-                        // deliberately violated at one bucket to exercise
-                        // the detector.
-                        unsafe { out.write(a as usize, t as u32) };
+        for threads in [4, 1] {
+            let pool = worker_pool(threads);
+            let mut data = vec![u32::MAX; 49];
+            let out = Scatter::new(&mut data);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dispatch(pool.as_ref(), Some((7, 0)), parts, &|t| {
+                    for b in groups[t].clone() {
+                        for &a in buckets.members(b) {
+                            // SAFETY: bounds hold; agent-uniqueness is
+                            // deliberately violated at one bucket to
+                            // exercise the detector.
+                            unsafe { out.write(a as usize, t as u32) };
+                        }
                     }
-                }
-            });
-        }));
-        let payload = res.expect_err("write-set detector must fire");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("tile race"), "unexpected panic: {msg}");
+                });
+            }));
+            let payload = res.expect_err("write-set detector must fire");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.contains("tile race"),
+                "t{threads}: unexpected panic: {msg}"
+            );
+        }
     }
 
     /// A clean sparse scatter under the detector: disjoint bucket groups
@@ -1210,43 +1489,52 @@ mod tests {
             }
         });
         drop(out);
-        for slot in 1..=48usize {
+        for (slot, &v) in data.iter().enumerate().skip(1) {
             let b = buckets.bucket_of_row(slot % 16);
             let owner = groups.iter().position(|g| g.contains(&b)).unwrap();
-            assert_eq!(data[slot], owner as u32, "slot {slot}");
+            assert_eq!(v, owner as u32, "slot {slot}");
         }
     }
 
-    /// Permuted dispatch must not change trajectories: a handful of
-    /// schedule seeds here, hundreds in tests/audit_soundness.rs.
+    /// Permuted dispatch must not change trajectories, on the pool or
+    /// inline: a handful of schedule seeds here, hundreds in
+    /// tests/audit_soundness.rs.
     #[test]
     fn schedule_permutation_preserves_trajectories() {
         let mut reference = pooled_engine_small(24, 24, 40, ModelKind::lem(), 7, 4);
         reference.run(30);
-        for seed in [0u64, 1, 0xDEAD_BEEF] {
-            let mut permuted = pooled_engine_small(24, 24, 40, ModelKind::lem(), 7, 4);
-            permuted.set_schedule_seed(Some(seed));
-            permuted.run(30);
-            assert_eq!(
-                reference.mat_snapshot(),
-                permuted.mat_snapshot(),
-                "schedule seed {seed} changed the trajectory"
-            );
-            assert_eq!(reference.positions(), permuted.positions());
+        for threads in [4, 1] {
+            for seed in [0u64, 1, 0xDEAD_BEEF] {
+                let mut permuted = pooled_engine_small(24, 24, 40, ModelKind::lem(), 7, threads);
+                permuted.set_schedule_seed(Some(seed));
+                permuted.run(30);
+                assert_eq!(
+                    reference.mat_snapshot(),
+                    permuted.mat_snapshot(),
+                    "schedule seed {seed} changed the t{threads} trajectory"
+                );
+                assert_eq!(reference.positions(), permuted.positions());
+            }
         }
     }
 
     #[test]
-    fn pooled_pheromone_matches_scalar() {
-        let mut scalar = cpu_engine_small(24, 24, 30, ModelKind::aco(), 9);
-        let mut pooled = pooled_engine_small(24, 24, 30, ModelKind::aco(), 9, 4);
-        scalar.run(25);
-        pooled.run(25);
-        let (sp, pp) = (scalar.pheromone().unwrap(), pooled.pheromone().unwrap());
-        for g in 0..sp.groups() {
-            let g = Group::new(g);
-            assert_eq!(sp.of(g).as_slice(), pp.of(g).as_slice());
+    fn pooled_pheromone_matches_simt_dense() {
+        let mut dense = dense_oracle(24, 24, 30, ModelKind::aco(), 9);
+        dense.run(25);
+        let planes = dense.pheromone_snapshot().unwrap();
+        for threads in [1, 4] {
+            let mut pooled = pooled_engine_small(24, 24, 30, ModelKind::aco(), 9, threads);
+            pooled.run(25);
+            let pp = pooled.pheromone().unwrap();
+            for (gi, plane) in planes.iter().enumerate() {
+                assert_eq!(
+                    plane.as_slice(),
+                    pp.of(Group::new(gi)).as_slice(),
+                    "t{threads} pheromone diverged"
+                );
+            }
+            assert_eq!(dense.tour_snapshot(), pooled.tour_lengths().len);
         }
-        assert_eq!(scalar.tour_lengths(), pooled.tour_lengths());
     }
 }

@@ -9,20 +9,22 @@
 //!
 //! Three backends ship today:
 //!
-//! | name     | engine                      | execution                               |
-//! |----------|-----------------------------|-----------------------------------------|
-//! | `scalar` | [`cpu::CpuEngine`]          | single-threaded host loops (reference)  |
-//! | `pooled` | [`pooled::PooledEngine`]    | live-agent row buckets on a pool        |
-//! | `simt`   | [`gpu::GpuEngine`]          | virtual-GPU kernel pipeline             |
+//! | name     | engine                      | execution                                  |
+//! |----------|-----------------------------|--------------------------------------------|
+//! | `scalar` | [`pooled::PooledEngine`]    | one thread: row-bucket tasks run inline    |
+//! | `pooled` | [`pooled::PooledEngine`]    | `threads` workers: row buckets on a pool   |
+//! | `simt`   | [`gpu::GpuEngine`]          | virtual-GPU kernel pipeline                |
 //!
-//! `scalar` and `pooled` step agent-driven only; `simt` honours
+//! `scalar` is the host engine pinned to one thread (the paper's
+//! single-threaded CPU counterpart); it keeps its own registry key so
+//! results series recorded under it continue. The host engine steps
+//! agent-driven only; `simt` honours
 //! [`SimConfig::iteration`] — `Dense` is the paper's one thread per cell
 //! and the oracle the others are checked against. All three are
 //! bit-identical in trajectory for equal configurations (the
 //! cross-backend golden parity tests), so the choice is purely a
 //! performance/instrumentation trade.
 //!
-//! [`cpu::CpuEngine`]: super::cpu::CpuEngine
 //! [`pooled::PooledEngine`]: super::pooled::PooledEngine
 //! [`gpu::GpuEngine`]: super::gpu::GpuEngine
 
@@ -34,7 +36,6 @@ use simt::Device;
 use crate::params::SimConfig;
 use crate::world::CompiledWorld;
 
-use super::cpu::CpuEngine;
 use super::gpu::GpuEngine;
 use super::pooled::PooledEngine;
 use super::Engine;
@@ -82,7 +83,7 @@ fn build_scalar(
     cfg: SimConfig,
     _threads: usize,
 ) -> Box<dyn Engine + Send> {
-    Box::new(CpuEngine::from_world(world, cfg))
+    Box::new(PooledEngine::from_world(world, cfg, 1))
 }
 
 fn build_pooled(
@@ -111,13 +112,13 @@ fn build_simt(
 pub const BACKENDS: &[EngineBackend] = &[
     EngineBackend {
         name: "scalar",
-        summary: "single-threaded host reference engine",
+        summary: "host engine on one thread (inline, no pool)",
         parallel: false,
         build: build_scalar,
     },
     EngineBackend {
         name: "pooled",
-        summary: "tile-parallel pooled CPU engine (worker-pool row bands)",
+        summary: "host engine on a worker pool (row-bucket tasks)",
         parallel: true,
         build: build_pooled,
     },
@@ -184,12 +185,12 @@ impl Backend {
         }
     }
 
-    /// The single-threaded reference engine.
+    /// The host engine on one thread (inline dispatch, no pool).
     pub fn scalar() -> Self {
         Self::named("scalar", 1)
     }
 
-    /// The tile-parallel pooled CPU engine with `threads` workers.
+    /// The host engine on a pool of `threads` workers.
     pub fn pooled(threads: usize) -> Self {
         Self::named("pooled", threads)
     }

@@ -8,8 +8,8 @@
 //! every step, so the alarm is a pure parameter overlay — determinism and
 //! CPU/GPU agreement are preserved through the switch.
 
-use crate::engine::cpu::CpuEngine;
 use crate::engine::gpu::GpuEngine;
+use crate::engine::pooled::PooledEngine;
 use crate::engine::Engine;
 use crate::params::ModelKind;
 
@@ -46,7 +46,7 @@ pub trait ModelSwitch {
     fn switch_model(&mut self, model: ModelKind);
 }
 
-impl ModelSwitch for CpuEngine {
+impl ModelSwitch for PooledEngine {
     fn switch_model(&mut self, model: ModelKind) {
         self.set_model(model).unwrap_or_else(|e| panic!("{e}"));
     }
@@ -136,9 +136,9 @@ mod tests {
             alpha_factor: 0.0,
             beta_factor: 1.0,
         });
-        let mut panicked = CpuEngine::new(cfg(ModelKind::lem(), 9));
+        let mut panicked = PooledEngine::new(cfg(ModelKind::lem(), 9), 1);
         alarm.run(&mut panicked, 40);
-        let mut calm = CpuEngine::new(cfg(ModelKind::lem(), 9));
+        let mut calm = PooledEngine::new(cfg(ModelKind::lem(), 9), 1);
         calm.run(40);
         assert_ne!(panicked.mat_snapshot(), calm.mat_snapshot());
         panicked
@@ -156,7 +156,7 @@ mod tests {
             beta_factor: 2.0,
         });
         let c = cfg(ModelKind::aco(), 13);
-        let mut cpu = CpuEngine::new(c.clone());
+        let mut cpu = PooledEngine::new(c.clone(), 1);
         let mut gpu = GpuEngine::new(c, Device::parallel());
         alarm.run(&mut cpu, 25);
         alarm.run(&mut gpu, 25);
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "variant")]
     fn kind_change_rejected() {
-        let mut e = CpuEngine::new(cfg(ModelKind::lem(), 1));
+        let mut e = PooledEngine::new(cfg(ModelKind::lem(), 1), 1);
         e.switch_model(ModelKind::aco());
     }
 }

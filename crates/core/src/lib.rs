@@ -15,8 +15,9 @@
 //!   resolution) both engines share;
 //! * [`kernels`] — the four `simt` kernels (§IV.b–e) and the device buffer
 //!   set, plus the atomic-CAS movement variant kept for ablations;
-//! * [`engine`] — [`engine::cpu::CpuEngine`] (sequential reference) and
-//!   [`engine::gpu::GpuEngine`] (virtual GPU, sequential or parallel
+//! * [`engine`] — [`engine::pooled::PooledEngine`] (the host engine:
+//!   inline on one thread, the sequential reference, or on a worker pool)
+//!   and [`engine::gpu::GpuEngine`] (virtual GPU, sequential or parallel
 //!   policy);
 //! * [`metrics`] — throughput (the paper's §VI result metric), gridlock,
 //!   lane formation;
@@ -61,7 +62,6 @@ pub mod world;
 
 /// The commonly-used public surface.
 pub mod prelude {
-    pub use crate::engine::cpu::CpuEngine;
     pub use crate::engine::gpu::GpuEngine;
     pub use crate::engine::pooled::PooledEngine;
     pub use crate::engine::{

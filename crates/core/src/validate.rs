@@ -14,8 +14,8 @@
 use simt::exec::ExecPolicy;
 use simt::Device;
 
-use crate::engine::cpu::CpuEngine;
 use crate::engine::gpu::GpuEngine;
+use crate::engine::pooled::PooledEngine;
 use crate::engine::Engine;
 use crate::params::{IterationMode, SimConfig};
 
@@ -51,7 +51,7 @@ pub fn engines_agree(
         cfg.clone().with_iteration_mode(IterationMode::Dense),
         device.clone(),
     );
-    let mut cpu = CpuEngine::new(cfg.clone());
+    let mut cpu = PooledEngine::new(cfg.clone(), 1);
     let mut sparse = GpuEngine::new(cfg.with_iteration_mode(IterationMode::Sparse), device);
     let check_every = check_every.max(1);
     let mut done = 0u64;

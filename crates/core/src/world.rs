@@ -417,13 +417,13 @@ mod tests {
 
     #[test]
     fn cached_worlds_run_bit_identically_to_cold_compiles() {
-        use crate::engine::cpu::CpuEngine;
+        use crate::engine::pooled::PooledEngine;
         use crate::engine::Engine;
         let cache = WorldCache::default();
         cache.get_or_compile(&crossing(5)); // warm the field level
         let warm = cache.get_or_compile(&crossing(6)); // field hit
-        let mut from_cache = CpuEngine::from_world(&warm, crossing(6));
-        let mut cold = CpuEngine::new(crossing(6));
+        let mut from_cache = PooledEngine::from_world(&warm, crossing(6), 1);
+        let mut cold = PooledEngine::new(crossing(6), 1);
         from_cache.run(15);
         cold.run(15);
         assert_eq!(from_cache.mat_snapshot(), cold.mat_snapshot());

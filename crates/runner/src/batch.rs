@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pedsim_core::engine::cpu::CpuEngine;
 use pedsim_core::engine::gpu::GpuEngine;
+use pedsim_core::engine::pooled::PooledEngine;
 use pedsim_core::engine::Engine;
 use pedsim_core::metrics::{band_count, lane_index, segregation_index};
 use pedsim_core::world::{CacheStats, CompiledWorld, WorldCache};
@@ -170,7 +170,7 @@ pub fn execute_with_world(job: &Job, world: &Arc<CompiledWorld>, setup: Duration
     // Every selection flows through a `from_world` constructor, so the
     // per-replica stage is one code path regardless of backend.
     let engine: Box<dyn Engine + Send> = match &job.engine {
-        EngineSel::Cpu => Box::new(CpuEngine::from_world(world, job.cfg.clone())),
+        EngineSel::Cpu => Box::new(PooledEngine::from_world(world, job.cfg.clone(), 1)),
         EngineSel::Gpu(device) => Box::new(GpuEngine::from_world(
             world,
             job.cfg.clone(),

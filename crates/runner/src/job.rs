@@ -87,12 +87,17 @@ impl EngineSel {
     /// Backend provenance for results: the registry key and thread count
     /// actually executing this job. The legacy selectors map onto their
     /// registry equivalents (`Cpu` → `scalar`/1, `Gpu` → `simt` with the
-    /// device's worker count).
+    /// device's worker count); a serial backend runs on one thread
+    /// whatever thread count was requested.
     pub fn backend_sel(&self) -> (&'static str, usize) {
         match self {
             EngineSel::Cpu => ("scalar", 1),
             EngineSel::Gpu(device) => ("simt", device.worker_count()),
-            EngineSel::Backend(b) => (b.resolve().map_or("unknown", |d| d.name), b.threads),
+            EngineSel::Backend(b) => match b.resolve() {
+                Ok(d) if !d.parallel => (d.name, 1),
+                Ok(d) => (d.name, b.threads),
+                Err(_) => ("unknown", b.threads),
+            },
         }
     }
 }
@@ -231,15 +236,17 @@ mod tests {
     #[test]
     fn backend_jobs_resolve_and_report_provenance() {
         let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        let j = Job::backend(
-            "p",
-            cfg.clone(),
-            Backend::pooled(4),
-            StopCondition::Steps(1),
-        );
-        assert_eq!(j.engine.name(), "pooled");
-        assert_eq!(j.engine.backend_sel(), ("pooled", 4));
-        assert!(j.validate().is_ok());
+        // A serial backend reports the one thread it runs on, whatever
+        // thread count the selection carries.
+        for (backend, name, threads) in [
+            (Backend::pooled(4), "pooled", 4),
+            (Backend::named("scalar", 4), "scalar", 1),
+        ] {
+            let j = Job::backend("p", cfg.clone(), backend, StopCondition::Steps(1));
+            assert_eq!(j.engine.name(), name);
+            assert_eq!(j.engine.backend_sel(), (name, threads));
+            assert!(j.validate().is_ok());
+        }
         // The legacy selectors map onto their registry equivalents.
         assert_eq!(EngineSel::Cpu.backend_sel(), ("scalar", 1));
         let (name, _) = Job::gpu("g", cfg, StopCondition::Steps(1))

@@ -15,7 +15,7 @@ fn main() {
     let trigger = 200;
 
     // Calm baseline.
-    let mut calm = CpuEngine::new(SimConfig::new(env, ModelKind::aco()));
+    let mut calm = PooledEngine::new(SimConfig::new(env, ModelKind::aco()), 1);
     calm.run(steps);
     let calm_m = calm.metrics().expect("metrics");
 
@@ -27,7 +27,7 @@ fn main() {
         alpha_factor: 0.0,
         beta_factor: 2.0,
     });
-    let mut panicked = CpuEngine::new(SimConfig::new(env, ModelKind::aco()));
+    let mut panicked = PooledEngine::new(SimConfig::new(env, ModelKind::aco()), 1);
     alarm.run(&mut panicked, steps);
     let panic_m = panicked.metrics().expect("metrics");
 
@@ -55,9 +55,9 @@ fn main() {
         alpha_factor: 1.0,
         beta_factor: 1.0,
     });
-    let mut lem_calm = CpuEngine::new(SimConfig::new(env, ModelKind::lem()));
+    let mut lem_calm = PooledEngine::new(SimConfig::new(env, ModelKind::lem()), 1);
     lem_calm.run(steps);
-    let mut lem_panic = CpuEngine::new(SimConfig::new(env, ModelKind::lem()));
+    let mut lem_panic = PooledEngine::new(SimConfig::new(env, ModelKind::lem()), 1);
     lem_alarm.run(&mut lem_panic, steps);
     println!(
         "\nLEM comparison — calm: {} crossed, panicked (sigma x6): {} crossed",

@@ -6,13 +6,13 @@
 //! suite drives the backend's schedule knob
 //! ([`PooledEngine::set_schedule_seed`]) through hundreds of
 //! Philox-keyed permutations of every stage launch's band issue order
-//! and asserts bit-identity with the scalar reference throughout — the
+//! and asserts bit-identity with the simt dense oracle throughout — the
 //! explorer's whole-engine acceptance case. Under
 //! `--features audit-runtime`, every scatter write in these runs is
 //! additionally checked by the write-set race detector.
 
-use pedsim::core::engine::cpu::cpu_engine_small;
 use pedsim::core::engine::pooled::pooled_engine_small;
+use pedsim::core::engine::Backend;
 use pedsim::prelude::*;
 use pedsim::simt::exec::explore::explore;
 
@@ -36,13 +36,24 @@ fn trajectory_hash(e: &impl Engine) -> u64 {
     fnv1a(bytes)
 }
 
-/// 300 permuted schedules per model, every one bit-identical to scalar.
+/// simt's one-thread-per-cell dense mapping of the 20×20 test corridor,
+/// run 15 steps: the reference every permuted schedule must reproduce.
+fn dense_oracle_hash(model: ModelKind) -> u64 {
+    let env = EnvConfig::small(20, 20, 24).with_seed(77);
+    let cfg = SimConfig::new(env, model)
+        .with_checked(true)
+        .with_iteration_mode(IterationMode::Dense);
+    let mut oracle = Backend::simt().build(cfg).expect("simt");
+    oracle.run(15);
+    trajectory_hash(&oracle)
+}
+
+/// 300 permuted schedules per model, every one bit-identical to the simt
+/// dense oracle.
 #[test]
 fn pooled_is_schedule_independent_across_300_interleavings() {
     for model in [ModelKind::lem(), ModelKind::aco()] {
-        let mut scalar = cpu_engine_small(20, 20, 24, model, 77);
-        scalar.run(15);
-        let golden = trajectory_hash(&scalar);
+        let golden = dense_oracle_hash(model);
 
         let explored = explore(0..150u64, |seed| {
             let mut pooled = pooled_engine_small(20, 20, 24, model, 77, 3);
@@ -54,7 +65,7 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
         assert_eq!(
             explored,
             golden,
-            "{}: permuted pooled trajectories diverged from scalar",
+            "{}: permuted pooled trajectories diverged from simt/dense",
             model.name()
         );
 
@@ -79,14 +90,7 @@ fn pooled_is_schedule_independent_across_300_interleavings() {
 /// write-set race detector.
 #[test]
 fn both_iteration_modes_are_schedule_independent() {
-    use pedsim::core::engine::Backend;
-    let env = EnvConfig::small(20, 20, 24).with_seed(77);
-    let cfg = SimConfig::new(env, ModelKind::lem()).with_checked(true);
-    let mut oracle = Backend::simt()
-        .build(cfg.clone().with_iteration_mode(IterationMode::Dense))
-        .expect("simt");
-    oracle.run(15);
-    let golden = trajectory_hash(&oracle);
+    let golden = dense_oracle_hash(ModelKind::lem());
     let explored = explore(0..100u64, |seed| {
         let mut pooled = pooled_engine_small(20, 20, 24, ModelKind::lem(), 77, 3);
         assert_eq!(pooled.iteration_mode(), IterationMode::Sparse);

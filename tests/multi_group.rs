@@ -4,7 +4,6 @@
 //! its orthogonal stream through the target mask, and spawn placement
 //! stays inside disjoint regions for any group count.
 
-use pedsim::core::engine::cpu::CpuEngine;
 use pedsim::core::validate::engines_agree;
 use pedsim::grid::cell::Group;
 use pedsim::prelude::*;
@@ -80,7 +79,7 @@ fn legacy_trajectories_match_pre_refactor_goldens() {
         ]
     };
     for (name, cfg, steps, golden) in cases {
-        let mut e = CpuEngine::new(cfg);
+        let mut e = PooledEngine::new(cfg, 1);
         e.run(steps);
         assert_eq!(
             trajectory_hash(&e),
@@ -150,7 +149,7 @@ fn crossing_counts_its_orthogonal_stream_through_the_mask() {
         }
     }
     let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco());
-    let mut e = CpuEngine::new(cfg);
+    let mut e = PooledEngine::new(cfg, 1);
     e.run(400);
     let m = e.metrics().expect("metrics");
     assert!(m.crossed(Group::TOP) > 0, "vertical stream never arrived");
@@ -173,7 +172,7 @@ fn crossing_counts_its_orthogonal_stream_through_the_mask() {
 fn four_way_streams_all_make_progress() {
     let scenario = registry::four_way_crossing(32, 30).with_seed(8);
     let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem());
-    let mut e = CpuEngine::new(cfg);
+    let mut e = PooledEngine::new(cfg, 1);
     e.run(300);
     let m = e.metrics().expect("metrics");
     for gi in 0..4 {

@@ -4,7 +4,6 @@
 //! trajectory hashes live in tests/multi_group.rs and must keep passing
 //! unmodified).
 
-use pedsim::core::engine::cpu::CpuEngine;
 use pedsim::core::validate::engines_agree;
 use pedsim::prelude::*;
 use pedsim::scenario::registry;
@@ -42,7 +41,7 @@ fn engines_agree_on_open_crossing() {
 
 #[test]
 fn open_corridor_reaches_a_flowing_population() {
-    let mut e = CpuEngine::new(open_corridor_cfg(5, ModelKind::aco()));
+    let mut e = PooledEngine::new(open_corridor_cfg(5, ModelKind::aco()), 1);
     e.run(200);
     let m = e.metrics().expect("metrics on");
     // The inflow populated the corridor…
@@ -69,7 +68,7 @@ fn open_corridor_reaches_a_flowing_population() {
 fn open_world_never_exceeds_capacity_and_all_arrived_never_fires() {
     let scenario = registry::open_corridor(24, 24, 12, 6.0).with_seed(9);
     let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem()).with_checked(true);
-    let mut e = CpuEngine::new(cfg);
+    let mut e = PooledEngine::new(cfg, 1);
     for _ in 0..150 {
         e.step();
         let env = e.environment();
@@ -95,7 +94,7 @@ fn open_world_never_exceeds_capacity_and_all_arrived_never_fires() {
 fn steady_state_stop_fires_on_a_warm_open_corridor() {
     let scenario = registry::open_corridor(24, 24, 60, 2.0).with_seed(3);
     let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco());
-    let mut e = CpuEngine::new(cfg);
+    let mut e = PooledEngine::new(cfg, 1);
     let reason = e.run_until(&StopCondition::steady_or_steps(1_500, 0.6, 64));
     // A free-flowing corridor settles well before the budget.
     assert_eq!(reason, StopReason::SteadyState);
@@ -133,7 +132,7 @@ fn gpu_download_round_trips_the_lifecycle_state() {
     let cfg = open_corridor_cfg(11, ModelKind::lem());
     let device = pedsim::simt::Device::parallel();
     let mut gpu = GpuEngine::new(cfg.clone(), device);
-    let mut cpu = CpuEngine::new(cfg);
+    let mut cpu = PooledEngine::new(cfg, 1);
     gpu.run(90);
     cpu.run(90);
     let env = gpu.download_environment();
@@ -168,7 +167,7 @@ mod recycling_properties {
             }
             .with_seed(seed);
             let cfg = SimConfig::from_scenario(&scenario, ModelKind::lem()).with_checked(true);
-            let mut e = CpuEngine::new(cfg);
+            let mut e = PooledEngine::new(cfg, 1);
             for _ in 0..60 {
                 e.step();
                 let env = e.environment();
@@ -217,7 +216,7 @@ mod recycling_properties {
                 cfg.clone().with_iteration_mode(IterationMode::Dense),
                 pedsim::simt::Device::sequential(),
             );
-            let mut sparse = CpuEngine::new(cfg.clone());
+            let mut sparse = PooledEngine::new(cfg.clone(), 1);
             let mut simt_sparse = GpuEngine::new(
                 cfg.with_iteration_mode(IterationMode::Sparse),
                 pedsim::simt::Device::sequential(),

@@ -86,7 +86,7 @@ fn cpu_gpu_glm_not_significant() {
             let seed_gpu = 19_000 + i as u64 * 37 + k;
             let n = 2 * per_side;
             let envc = EnvConfig::small(64, 64, per_side).with_seed(seed_cpu);
-            let mut cpu = CpuEngine::new(SimConfig::new(envc, ModelKind::aco()));
+            let mut cpu = PooledEngine::new(SimConfig::new(envc, ModelKind::aco()), 1);
             cpu.run(500);
             let envg = EnvConfig::small(64, 64, per_side).with_seed(seed_gpu);
             let mut gpu = GpuEngine::new(SimConfig::new(envg, ModelKind::aco()), device.clone());

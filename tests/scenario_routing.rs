@@ -46,7 +46,7 @@ fn all_registry_scenarios_run_on_both_engines() {
     for scenario in registry_worlds(17) {
         for model in [ModelKind::lem(), ModelKind::aco()] {
             let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
-            let mut cpu = CpuEngine::new(cfg.clone());
+            let mut cpu = PooledEngine::new(cfg.clone(), 1);
             let mut gpu = GpuEngine::new(cfg, pedsim::simt::Device::parallel());
             cpu.run(40);
             gpu.run(40);
@@ -118,7 +118,7 @@ fn paper_corridor_reproduces_legacy_trajectories_exactly() {
             scenic_gpu.metrics().unwrap().throughput()
         );
 
-        let mut legacy_cpu = CpuEngine::new(legacy);
+        let mut legacy_cpu = PooledEngine::new(legacy, 1);
         legacy_cpu.run(60);
         assert_eq!(legacy_cpu.mat_snapshot(), scenic_gpu.mat_snapshot());
     }
@@ -174,7 +174,7 @@ mod properties {
             };
             let model = if aco { ModelKind::aco() } else { ModelKind::lem() };
             let cfg = SimConfig::from_scenario(&scenario, model).with_checked(true);
-            let mut e = CpuEngine::new(cfg);
+            let mut e = PooledEngine::new(cfg, 1);
             for _ in 0..15 {
                 e.step();
                 let env = e.environment();

@@ -47,7 +47,7 @@ proptest! {
         model in arbitrary_model(),
     ) {
         let env = EnvConfig::small(40, 40, per_side).with_seed(seed);
-        let mut e = CpuEngine::new(SimConfig::new(env, model).with_checked(true));
+        let mut e = PooledEngine::new(SimConfig::new(env, model).with_checked(true), 1);
         e.run(steps);
         prop_assert!(e.environment().check_consistency().is_ok());
     }
@@ -60,7 +60,7 @@ proptest! {
         model in arbitrary_model(),
     ) {
         let env = EnvConfig::small(40, 40, per_side).with_seed(seed);
-        let mut e = CpuEngine::new(SimConfig::new(env, model).with_checked(true));
+        let mut e = PooledEngine::new(SimConfig::new(env, model).with_checked(true), 1);
         let (mut pr, mut pc) = e.positions();
         for _ in 0..10 {
             e.step();
@@ -83,7 +83,7 @@ proptest! {
         per_side in 20usize..200,
     ) {
         let env = EnvConfig::small(40, 40, per_side).with_seed(seed);
-        let mut e = CpuEngine::new(SimConfig::new(env, ModelKind::aco()).with_checked(true));
+        let mut e = PooledEngine::new(SimConfig::new(env, ModelKind::aco()).with_checked(true), 1);
         let mut last = 0usize;
         for _ in 0..8 {
             e.run(5);
