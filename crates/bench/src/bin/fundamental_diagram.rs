@@ -25,7 +25,7 @@
 use pedsim_bench::fundamental_diagram as fd;
 use pedsim_bench::observe::{self, Sinks};
 use pedsim_bench::report;
-use pedsim_bench::scale::{arg_value, Scale};
+use pedsim_bench::scale::{count_arg_or_exit, Scale};
 use pedsim_obs::log_summary;
 
 /// Below this total cold-arm setup time the amortization ratio is mostly
@@ -35,13 +35,8 @@ const MEASURABLE_COLD_SETUP_S: f64 = 1e-4;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_args_or_exit(&args);
-    let workers = arg_value(&args, "--workers")
-        .and_then(|w| w.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = count_arg_or_exit(&args, "--workers", cores);
     let world_cache = !args.iter().any(|a| a == "--no-world-cache");
     let sinks = Sinks::from_args(&args);
     let cfg = fd::FdConfig::for_scale(scale);

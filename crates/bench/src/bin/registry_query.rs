@@ -11,9 +11,13 @@
 //! series against the mean of its predecessors within the `--last`
 //! window, and — with `--check` — exits non-zero when any series
 //! drifted beyond the KPI's tolerance (DESIGN.md §12 has the table).
+//! The engine column holds the registry backend key (`scalar` /
+//! `pooled` / `simt`); rows written under the retired `cpu` / `gpu`
+//! names form series of their own. `--last` must be a positive integer
+//! (exit status 2 otherwise).
 
 use pedsim_bench::registry_query as rq;
-use pedsim_bench::scale::arg_value;
+use pedsim_bench::scale::{arg_value, count_arg_or_exit};
 use pedsim_obs::registry::KPIS;
 
 fn main() {
@@ -22,9 +26,7 @@ fn main() {
         arg_value(&args, "--registry").unwrap_or_else(|| "results/registry.csv".to_owned()),
     );
     let kpi = arg_value(&args, "--kpi").unwrap_or_else(|| "steps_per_sec".to_owned());
-    let last = arg_value(&args, "--last")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let last = count_arg_or_exit(&args, "--last", 5);
     let check = args.iter().any(|a| a == "--check");
 
     if pedsim_obs::registry::tolerance_for(&kpi).is_none() {

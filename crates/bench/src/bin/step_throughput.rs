@@ -1,6 +1,7 @@
 //! Step throughput of the unified engine pipeline: per-stage wall time,
-//! steps/second, and CPU-vs-GPU ratios on closed and open registry
-//! worlds, plus the backend scale ladder.
+//! steps/second, and scalar-over-simt ratios on closed and open registry
+//! worlds, plus the backend scale ladder (pooled at 1/2/4 threads, simt
+//! dense and sparse).
 //!
 //! ```text
 //! cargo run -p pedsim-bench --release --bin step_throughput -- \
@@ -14,13 +15,15 @@
 //! (including the backend scale ladder), appends one provenance-stamped
 //! row per replica to the results registry (and, with `--journal`, one
 //! JSONL record per replica), and prints Markdown tables. Exits non-zero
-//! when the smoke-scale measurement does not cover both engines and
+//! when the smoke-scale measurement does not cover both backends and
 //! every pipeline stage. Progress chatter honors `PEDSIM_LOG`.
 //!
 //! `--backend NAME [--threads N]` runs only the ladder cell(s) for that
-//! backend configuration (threads defaults to 1) — the CI thread-matrix
-//! entry point. Registry rows are appended; the engine-pair record and
-//! its coverage gate are skipped.
+//! backend configuration (threads defaults to 1; `pooled` at 1/2/4 or
+//! `simt` at 1) — the CI thread-matrix entry point. Registry rows are
+//! appended; the backend-pair record and its coverage gate are skipped.
+//! `--workers`, `--threads` and the other count flags exit with status 2
+//! on a value that is not a positive integer.
 //!
 //! `--ablation atomic` instead measures the rejected atomic-CAS movement
 //! kernel against the production scatter-to-gather kernel at this scale
@@ -29,7 +32,7 @@
 
 use pedsim_bench::observe::{self, Sinks};
 use pedsim_bench::report;
-use pedsim_bench::scale::{arg_value, Scale};
+use pedsim_bench::scale::{arg_value, count_arg_or_exit, Scale};
 use pedsim_bench::step_throughput as st;
 use pedsim_bench::{ablation, Table};
 use pedsim_obs::log_summary;
@@ -78,9 +81,7 @@ fn main() {
     let scale = Scale::from_args_or_exit(&args);
     // Default to one worker: replicas racing for cores would pollute the
     // per-stage wall clocks this harness exists to record.
-    let workers = arg_value(&args, "--workers")
-        .and_then(|w| w.parse().ok())
-        .unwrap_or(1);
+    let workers = count_arg_or_exit(&args, "--workers", 1);
     let sinks = Sinks::from_args(&args);
     let cfg = st::StConfig::for_scale(scale);
     let base = std::path::Path::new(".");
@@ -91,9 +92,7 @@ fn main() {
     }
 
     let backend_only = arg_value(&args, "--backend");
-    let threads_only: usize = arg_value(&args, "--threads")
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(1);
+    let threads_only = count_arg_or_exit(&args, "--threads", 1);
 
     // The ladder: classic corridor at growing sides × backend registry
     // configurations. In `--backend` mode this is the whole run.
@@ -114,7 +113,7 @@ fn main() {
 
     if only.is_none() {
         log_summary!(
-            "step_throughput [{}]: {side}x{side} closed+open corridors, both engines, \
+            "step_throughput [{}]: {side}x{side} closed+open corridors, scalar + simt, \
              {} steps x {} repeats, on {workers} workers…",
             scale.label(),
             cfg.steps,
@@ -150,7 +149,7 @@ fn main() {
         println!();
         for ratio in st::ratios(&pair_rows) {
             println!(
-                "{}: CPU spends {:.2}x the GPU pipeline's wall time per step",
+                "{}: scalar spends {:.2}x the simt pipeline's wall time per step",
                 ratio.world, ratio.total
             );
         }
@@ -179,12 +178,6 @@ fn main() {
 
     println!("\n## Backend scale ladder ({} scale)\n", scale.label());
     print!("{}", st::ladder_table(&ladder_rows).markdown());
-    for (side, mode, x) in st::ladder_speedups(&ladder_rows) {
-        println!(
-            "side {side} [{mode}]: pooled movement runs at {x:.2}x the scalar stage \
-             (gains beyond the banded kernels' single-thread advantage need real cores)",
-        );
-    }
     for (side, backend, threads, x) in st::sparse_speedups(&ladder_rows) {
         println!("side {side}: {backend}/t{threads} steps {x:.2}x faster sparse than dense");
     }
@@ -196,7 +189,7 @@ fn main() {
     log_summary!("wall: {:.2}s on {workers} workers", elapsed.as_secs_f64());
 
     // Gates. In --backend mode: every requested ladder cell must have
-    // timed real steps. In default mode: the engine-pair coverage gate as
+    // timed real steps. In default mode: the backend-pair coverage gate as
     // before, plus the sink/record checks, at smoke scale only.
     let ladder_ok = ladder_rows.len() == ladder_jobs.len()
         && ladder_rows
@@ -213,9 +206,9 @@ fn main() {
     println!(
         "\nmeasurement {}",
         if ok && ladder_ok {
-            "covers both engines, every pipeline stage, and every ladder cell"
+            "covers both backends, every pipeline stage, and every ladder cell"
         } else {
-            "is INCOMPLETE: an engine, stage, or ladder cell reported no time"
+            "is INCOMPLETE: a backend, stage, or ladder cell reported no time"
         },
     );
     // The coverage check is the CI acceptance gate at smoke scale; larger

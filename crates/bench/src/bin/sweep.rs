@@ -14,20 +14,15 @@
 //! `PEDSIM_LOG` (off/summary/verbose).
 
 use pedsim_bench::report;
-use pedsim_bench::scale::{arg_value, Scale};
+use pedsim_bench::scale::{arg_value, count_arg_or_exit, Scale};
 use pedsim_bench::sweep::SweepProtocol;
 use pedsim_obs::log_summary;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_args_or_exit(&args);
-    let workers = arg_value(&args, "--workers")
-        .and_then(|w| w.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = count_arg_or_exit(&args, "--workers", cores);
     let proto = SweepProtocol::for_scale(scale);
 
     log_summary!(

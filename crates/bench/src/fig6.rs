@@ -80,13 +80,13 @@ impl Fig6Config {
     }
 }
 
-/// The jobs of one model/engine series: every density × repeat replica,
+/// The jobs of one model/backend series: every density × repeat replica,
 /// seeded exactly as the legacy serial loop was (`seed_base + density ×
 /// 1000 + repeat`), labelled `d<density>/<suffix>` for aggregation.
 fn series_jobs(
     cfg: &Fig6Config,
     model: ModelKind,
-    use_cpu: bool,
+    backend: Backend,
     seed_base: u64,
     suffix: &str,
 ) -> Vec<Job> {
@@ -98,11 +98,7 @@ fn series_jobs(
             let scfg = SimConfig::new(env, model).with_checked(false);
             let label = format!("d{:02}/{suffix}", i + 1);
             let stop = StopCondition::arrived_or_steps(cfg.steps);
-            jobs.push(if use_cpu {
-                Job::cpu(label, scfg, stop)
-            } else {
-                Job::gpu(label, scfg, stop)
-            });
+            jobs.push(Job::backend(label, scfg, backend.clone(), stop));
         }
     }
     jobs
@@ -125,8 +121,14 @@ pub struct Fig6aRow {
 /// (density, model, repeat) replica, each exiting early once all agents
 /// have arrived.
 pub fn run_6a(cfg: &Fig6Config) -> Vec<Fig6aRow> {
-    let mut jobs = series_jobs(cfg, ModelKind::lem(), false, cfg.seed, "LEM");
-    jobs.extend(series_jobs(cfg, ModelKind::aco(), false, cfg.seed, "ACO"));
+    let mut jobs = series_jobs(cfg, ModelKind::lem(), Backend::simt(), cfg.seed, "LEM");
+    jobs.extend(series_jobs(
+        cfg,
+        ModelKind::aco(),
+        Backend::simt(),
+        cfg.seed,
+        "ACO",
+    ));
     let report = Batch::auto().run(&jobs);
     cfg.densities
         .iter()
@@ -204,11 +206,11 @@ pub struct Fig6bAnalysis {
 /// (`seed` offsets) so the comparison is statistical, not the trivial
 /// bit-equality that `validate::engines_agree` already proves.
 pub fn run_6b(cfg: &Fig6Config) -> Fig6bAnalysis {
-    let mut jobs = series_jobs(cfg, ModelKind::aco(), true, cfg.seed, "cpu");
+    let mut jobs = series_jobs(cfg, ModelKind::aco(), Backend::scalar(), cfg.seed, "cpu");
     jobs.extend(series_jobs(
         cfg,
         ModelKind::aco(),
-        false,
+        Backend::simt(),
         cfg.seed + 500_000,
         "gpu",
     ));

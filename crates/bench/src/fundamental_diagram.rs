@@ -104,7 +104,12 @@ impl FdConfig {
                     registry::open_corridor(self.side, self.side, self.capacity_for(rate), rate)
                         .with_seed(seed);
                 let cfg = SimConfig::from_scenario(&scenario, ModelKind::aco());
-                jobs.push(Job::gpu(format!("r{i:02}/{rate}"), cfg, stop.clone()));
+                jobs.push(Job::backend(
+                    format!("r{i:02}/{rate}"),
+                    cfg,
+                    Backend::simt(),
+                    stop.clone(),
+                ));
             }
         }
         jobs
@@ -192,9 +197,10 @@ pub fn probe_jobs(cfg: &FdConfig) -> Vec<Job> {
         .with_seed(cfg.seed);
     (0..AMORTIZATION_REPLICAS)
         .map(|k| {
-            Job::gpu(
+            Job::backend(
                 format!("cache_probe/{k}"),
                 SimConfig::from_scenario(&scenario, ModelKind::aco()),
+                Backend::simt(),
                 StopCondition::Steps(1),
             )
         })

@@ -79,6 +79,58 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A count flag (`--workers`, `--threads`, `--last`) given without a
+/// positive integer value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadCount {
+    /// The flag as written on the command line.
+    pub flag: String,
+    /// The value that followed it (empty when none did).
+    pub value: String,
+}
+
+impl std::fmt::Display for BadCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} expects a positive integer, got {:?}",
+            self.flag, self.value
+        )
+    }
+}
+
+impl std::error::Error for BadCount {}
+
+/// Parse the positive count after `flag`: `Ok(None)` when the flag is
+/// absent, a typed error when its value is missing, unparsable or zero —
+/// silently falling back to a default used to run `--threads four` as
+/// one thread and record it as such.
+pub fn count_arg(args: &[String], flag: &str) -> Result<Option<usize>, BadCount> {
+    if !args.iter().any(|a| a == flag) {
+        return Ok(None);
+    }
+    let value = arg_value(args, flag).unwrap_or_default();
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(BadCount {
+            flag: flag.to_string(),
+            value,
+        }),
+    }
+}
+
+/// [`count_arg`] for binaries: `default` when the flag is absent; exits
+/// with status 2 and the flag named on a bad value, like
+/// [`Scale::from_args_or_exit`].
+pub fn count_arg_or_exit(args: &[String], flag: &str, default: usize) -> usize {
+    count_arg(args, flag)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+        .unwrap_or(default)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,5 +159,21 @@ mod tests {
         let args = v(&["--part", "b", "--paper"]);
         assert_eq!(arg_value(&args, "--part").as_deref(), Some("b"));
         assert_eq!(arg_value(&args, "--missing"), None);
+        // Counts: absent, valid, and every way a value can be bad.
+        let count = |items: &[&str]| count_arg(&v(items), "--threads");
+        assert_eq!(count(&["--paper"]), Ok(None));
+        assert_eq!(count(&["--threads", "4"]), Ok(Some(4)));
+        for bad in [
+            &["--threads", "four"][..],
+            &["--threads", "0"],
+            &["--threads", "-2"],
+            &["--threads", "2.5"],
+            &["--threads", "18446744073709551616"],
+            &["--threads"],
+        ] {
+            let err = count(bad).unwrap_err();
+            assert_eq!(err.flag, "--threads");
+            assert!(err.to_string().contains("--threads"), "{err}");
+        }
     }
 }

@@ -1,11 +1,14 @@
 //! Step throughput of the unified engine pipeline: per-stage wall time,
-//! steps/second, and the CPU-vs-GPU ratio — the repo's perf trajectory.
+//! steps/second, and the scalar-over-simt ratio — the repo's perf
+//! trajectory.
 //!
 //! The paper's headline result is per-kernel speedup of the four-stage
-//! pipeline; the unified `StepCore` now times every stage of **both**
-//! engines through one code path, so that comparison is measurable
-//! end-to-end instead of modelled. This harness runs a closed and an open
-//! registry world on both engines, aggregates the per-stage
+//! pipeline over its single-threaded CPU counterpart; the unified
+//! `StepCore` times every stage of **both** sides of that comparison
+//! (the one-thread host engine `scalar` and the virtual GPU `simt`)
+//! through one code path, so it is measurable end-to-end instead of
+//! modelled. This harness runs a closed and an open registry world on
+//! both backends ([`PAIR_BACKENDS`]), aggregates the per-stage
 //! [`pedsim_core::engine::StepTimings`] that `pedsim_runner` surfaces on
 //! every [`RunResult`](pedsim_runner::RunResult), and writes
 //! `results/step_throughput_<scale>.{csv,json}` plus the repo-root
@@ -14,9 +17,9 @@
 //!
 //! Every number here is wall-clock and therefore non-deterministic; the
 //! record captures *shape* (which stages dominate, how far apart the
-//! engines sit), not bit-stable bytes.
+//! backends sit), not bit-stable bytes.
 //!
-//! The **scale ladder** rides alongside the world×engine matrix: the
+//! The **scale ladder** rides alongside the world×backend matrix: the
 //! classic corridor at growing grid sides (96 → 1024 → 4096; roughly
 //! 10³ → 10⁵ → 10⁶ agents, the larger rungs behind the default/paper
 //! scales) swept across every backend-registry configuration
@@ -27,7 +30,7 @@ use std::collections::BTreeSet;
 
 use pedsim_core::engine::{Backend, Stage};
 use pedsim_core::prelude::*;
-use pedsim_runner::{Batch, BatchReport, Job};
+use pedsim_runner::{Batch, BatchReport, Job, RunResult};
 use pedsim_scenario::registry;
 
 use crate::report::Table;
@@ -47,7 +50,7 @@ pub struct StConfig {
     /// Steps per replica (a pure step budget — timing runs never stop
     /// early, so every replica times exactly this many steps).
     pub steps: u64,
-    /// Repeats per (world, engine); timings aggregate across them.
+    /// Repeats per (world, backend); timings aggregate across them.
     pub repeats: u64,
     /// Base seed; repeat `k` uses `seed + k`.
     pub seed: u64,
@@ -109,9 +112,10 @@ impl StConfig {
         }
     }
 
-    /// The job list: every world × engine × repeat, ACO model (the
-    /// heavier pipeline — pheromone scan and update on every stage pass),
-    /// stopping on the pure step budget.
+    /// The job list: every world × [`PAIR_BACKENDS`] entry × repeat,
+    /// labelled `<world>/<backend>`, ACO model (the heavier pipeline —
+    /// pheromone scan and update on every stage pass), stopping on the
+    /// pure step budget.
     pub fn jobs(&self) -> Vec<Job> {
         let mut jobs = Vec::new();
         for (world, _) in self.worlds() {
@@ -120,24 +124,33 @@ impl StConfig {
                     &self.scenario(world, self.seed + k),
                     ModelKind::aco(),
                 );
-                let stop = StopCondition::Steps(self.steps);
-                jobs.push(Job::cpu(format!("{world}/cpu"), cfg.clone(), stop.clone()));
-                jobs.push(Job::gpu(format!("{world}/gpu"), cfg, stop));
+                for backend in PAIR_BACKENDS {
+                    jobs.push(Job::backend(
+                        format!("{world}/{backend}"),
+                        cfg.clone(),
+                        Backend::named(backend, 1),
+                        StopCondition::Steps(self.steps),
+                    ));
+                }
             }
         }
         jobs
     }
 }
 
-/// One (world, engine) cell of the measurement (repeats aggregated).
+/// The backend pair the world matrix compares, each on one thread: the
+/// paper's single-threaded CPU counterpart and its kernel pipeline.
+pub const PAIR_BACKENDS: [&str; 2] = ["scalar", "simt"];
+
+/// One (world, backend) cell of the measurement (repeats aggregated).
 #[derive(Debug, Clone)]
 pub struct StRow {
     /// Registry world name.
     pub world: &'static str,
     /// Whether the world runs the open-boundary lifecycle.
     pub open: bool,
-    /// Engine name (`"cpu"` / `"gpu"`).
-    pub engine: &'static str,
+    /// Backend registry key (one of [`PAIR_BACKENDS`]).
+    pub backend: &'static str,
     /// Agents (population for closed worlds, slot capacity for open).
     pub agents: usize,
     /// Total steps timed across repeats.
@@ -150,15 +163,16 @@ pub struct StRow {
     pub total_ms: f64,
 }
 
-/// CPU-over-GPU time ratio for one world (how much slower the reference
-/// engine is per stage; > 1 means the GPU pipeline wins).
+/// Scalar-over-simt time ratio for one world (how much slower the
+/// single-threaded host engine is per stage; > 1 means the kernel
+/// pipeline wins).
 #[derive(Debug, Clone)]
 pub struct StRatio {
     /// Registry world name.
     pub world: &'static str,
     /// Total-pipeline ratio.
     pub total: f64,
-    /// Per-stage ratios ([`Stage::ALL`] order; 0 when the GPU stage
+    /// Per-stage ratios ([`Stage::ALL`] order; 0 when the simt stage
     /// measured zero time).
     pub stages: [f64; Stage::COUNT],
 }
@@ -176,65 +190,86 @@ pub fn run(cfg: &StConfig, workers: usize) -> Vec<StRow> {
     aggregate(cfg, &run_report(cfg, workers))
 }
 
-/// Aggregate a finished measurement per (world, engine) cell.
-pub fn aggregate(cfg: &StConfig, report: &BatchReport) -> Vec<StRow> {
-    let mut rows = Vec::new();
-    for (world, open) in cfg.worlds() {
-        for engine in ["cpu", "gpu"] {
-            let label = format!("{world}/{engine}");
-            let results: Vec<_> = report.with_label(&label).collect();
-            if results.is_empty() {
-                continue;
-            }
-            let steps: u64 = results.iter().map(|r| r.steps).sum();
-            let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
-            let mut stage_ms = [0.0; Stage::COUNT];
+/// One cell's timing, the reduction the world matrix and the ladder
+/// share: every replica carrying one label summed into steps, steps per
+/// wall-clock second, and mean milliseconds per step per stage.
+struct CellTiming {
+    agents: usize,
+    steps: u64,
+    steps_per_sec: f64,
+    stage_ms: [f64; Stage::COUNT],
+    total_ms: f64,
+}
+
+impl CellTiming {
+    /// Reduce the replicas labelled `label`; `None` when there are none.
+    fn of(report: &BatchReport, label: &str) -> Option<Self> {
+        let results: Vec<&RunResult> = report.with_label(label).collect();
+        let agents = results.first()?.agents;
+        let steps: u64 = results.iter().map(|r| r.steps).sum();
+        let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
+        let mut stage_ms = [0.0; Stage::COUNT];
+        if steps > 0 {
             for stage in Stage::ALL {
                 let secs: f64 = results
                     .iter()
                     .map(|r| r.stages.of(stage).as_secs_f64())
                     .sum();
-                stage_ms[stage.index()] = if steps == 0 {
-                    0.0
-                } else {
-                    secs * 1e3 / steps as f64
-                };
+                stage_ms[stage.index()] = secs * 1e3 / steps as f64;
             }
+        }
+        Some(Self {
+            agents,
+            steps,
+            steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
+            stage_ms,
+            total_ms: stage_ms.iter().sum(),
+        })
+    }
+}
+
+/// Aggregate a finished measurement per (world, backend) cell.
+pub fn aggregate(cfg: &StConfig, report: &BatchReport) -> Vec<StRow> {
+    let mut rows = Vec::new();
+    for (world, open) in cfg.worlds() {
+        for backend in PAIR_BACKENDS {
+            let Some(t) = CellTiming::of(report, &format!("{world}/{backend}")) else {
+                continue;
+            };
             rows.push(StRow {
                 world,
                 open,
-                engine,
-                agents: results[0].agents,
-                steps,
-                steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
-                stage_ms,
-                total_ms: stage_ms.iter().sum(),
+                backend,
+                agents: t.agents,
+                steps: t.steps,
+                steps_per_sec: t.steps_per_sec,
+                stage_ms: t.stage_ms,
+                total_ms: t.total_ms,
             });
         }
     }
     rows
 }
 
-/// Pair each world's CPU and GPU rows into time ratios.
+/// Pair each world's scalar and simt rows into time ratios.
 pub fn ratios(rows: &[StRow]) -> Vec<StRatio> {
     let worlds: BTreeSet<&'static str> = rows.iter().map(|r| r.world).collect();
     worlds
         .into_iter()
         .filter_map(|world| {
-            let cpu = rows
-                .iter()
-                .find(|r| r.world == world && r.engine == "cpu")?;
-            let gpu = rows
-                .iter()
-                .find(|r| r.world == world && r.engine == "gpu")?;
+            let find = |backend: &str| {
+                rows.iter()
+                    .find(|r| r.world == world && r.backend == backend)
+            };
+            let (scalar, simt) = (find("scalar")?, find("simt")?);
             let ratio = |c: f64, g: f64| if g > 0.0 { c / g } else { 0.0 };
             let mut stages = [0.0; Stage::COUNT];
             for (i, slot) in stages.iter_mut().enumerate() {
-                *slot = ratio(cpu.stage_ms[i], gpu.stage_ms[i]);
+                *slot = ratio(scalar.stage_ms[i], simt.stage_ms[i]);
             }
             Some(StRatio {
                 world,
-                total: ratio(cpu.total_ms, gpu.total_ms),
+                total: ratio(scalar.total_ms, simt.total_ms),
                 stages,
             })
         })
@@ -242,7 +277,7 @@ pub fn ratios(rows: &[StRow]) -> Vec<StRatio> {
 }
 
 /// The smoke acceptance gate: every world was measured on **both**
-/// engines, every replica ran its full budget, and every stage that does
+/// [`PAIR_BACKENDS`], every replica ran its full budget, and every stage that does
 /// real work reported non-zero time — the kernel stages everywhere, the
 /// metrics stage (tracking is on), and the lifecycle stage on open
 /// worlds (a silently-unconstructed lifecycle must fail the gate, not
@@ -251,10 +286,10 @@ pub fn covers_both_engines_and_all_stages(rows: &[StRow]) -> bool {
     let worlds: BTreeSet<&'static str> = rows.iter().map(|r| r.world).collect();
     !worlds.is_empty()
         && worlds.iter().all(|w| {
-            ["cpu", "gpu"].iter().all(|e| {
+            PAIR_BACKENDS.iter().all(|b| {
                 rows.iter().any(|r| {
                     r.world == *w
-                        && r.engine == *e
+                        && r.backend == *b
                         && r.steps > 0
                         && Stage::KERNELS.iter().all(|s| r.stage_ms[s.index()] > 0.0)
                         && r.stage_ms[Stage::Metrics.index()] > 0.0
@@ -285,15 +320,11 @@ impl LadderRung {
 }
 
 /// The backend-registry configurations the ladder sweeps, in report
-/// order: the scalar reference, the pooled backend at 1/2/4 workers,
-/// and the virtual-GPU engine.
-pub const LADDER_BACKENDS: &[(&str, usize)] = &[
-    ("scalar", 1),
-    ("pooled", 1),
-    ("pooled", 2),
-    ("pooled", 4),
-    ("simt", 1),
-];
+/// order: the host engine at 1/2/4 workers and the virtual-GPU engine.
+/// `scalar` has no cell of its own: it is the host engine at one thread,
+/// the same code as `("pooled", 1)`.
+pub const LADDER_BACKENDS: &[(&str, usize)] =
+    &[("pooled", 1), ("pooled", 2), ("pooled", 4), ("simt", 1)];
 
 /// The kernel mappings a ladder backend is measured under, in report
 /// order. Host backends have one traversal (agent-driven, reported as
@@ -431,77 +462,27 @@ pub fn aggregate_ladder(rungs: &[LadderRung], report: &BatchReport) -> Vec<Ladde
         for &(backend, threads) in LADDER_BACKENDS {
             for &mode in ladder_modes(backend) {
                 let label = ladder_label(rung.side, backend, threads, mode);
-                let results: Vec<_> = report.with_label(&label).collect();
-                if results.is_empty() {
+                let Some(t) = CellTiming::of(report, &label) else {
                     continue;
-                }
-                let steps: u64 = results.iter().map(|r| r.steps).sum();
-                let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
-                let per_step_ms = |secs: f64| {
-                    if steps == 0 {
-                        0.0
-                    } else {
-                        secs * 1e3 / steps as f64
-                    }
                 };
-                let mut stage_ms = [0.0; Stage::COUNT];
-                for stage in Stage::ALL {
-                    let secs: f64 = results
-                        .iter()
-                        .map(|r| r.stages.of(stage).as_secs_f64())
-                        .sum();
-                    stage_ms[stage.index()] = per_step_ms(secs);
-                }
                 out.push(LadderRow {
                     side: rung.side,
-                    agents: results[0].agents,
+                    agents: t.agents,
                     occupancy: rung.occupancy(),
                     backend,
                     threads,
                     mode: mode.name(),
                     warmup: rung.warmup,
-                    steps,
-                    steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
-                    stage_ms,
-                    movement_ms: stage_ms[Stage::Movement.index()],
-                    total_ms: stage_ms.iter().sum(),
+                    steps: t.steps,
+                    steps_per_sec: t.steps_per_sec,
+                    stage_ms: t.stage_ms,
+                    movement_ms: t.stage_ms[Stage::Movement.index()],
+                    total_ms: t.total_ms,
                 });
             }
         }
     }
     out
-}
-
-/// Movement-stage speedup of the widest pooled configuration over the
-/// scalar reference, per `(side, mode)`: `(side, mode,
-/// scalar_movement_ms / pooled_movement_ms)`. Cells missing either side
-/// of the ratio are skipped. On a single-core host this honestly
-/// reports ≈1× or below — the pooled backend buys nothing without cores
-/// to spend.
-pub fn ladder_speedups(rows: &[LadderRow]) -> Vec<(usize, &'static str, f64)> {
-    let widest = LADDER_BACKENDS
-        .iter()
-        .filter(|(b, _)| *b == "pooled")
-        .map(|&(_, t)| t)
-        .max()
-        .unwrap_or(1);
-    let cells: BTreeSet<(usize, &'static str)> = rows.iter().map(|r| (r.side, r.mode)).collect();
-    cells
-        .into_iter()
-        .filter_map(|(side, mode)| {
-            let scalar = rows
-                .iter()
-                .find(|r| r.side == side && r.mode == mode && r.backend == "scalar")?;
-            let pooled = rows.iter().find(|r| {
-                r.side == side && r.mode == mode && r.backend == "pooled" && r.threads == widest
-            })?;
-            if pooled.movement_ms > 0.0 {
-                Some((side, mode, scalar.movement_ms / pooled.movement_ms))
-            } else {
-                None
-            }
-        })
-        .collect()
 }
 
 /// Total-step speedup of sparse over dense traversal, per `(side,
@@ -603,7 +584,7 @@ pub fn ladder_table(rows: &[LadderRow]) -> Table {
 pub fn table(rows: &[StRow]) -> Table {
     let mut headers = vec![
         "world".to_string(),
-        "engine".to_string(),
+        "backend".to_string(),
         "agents".to_string(),
         "steps".to_string(),
         "steps_per_sec".to_string(),
@@ -614,7 +595,7 @@ pub fn table(rows: &[StRow]) -> Table {
     for r in rows {
         let mut row = vec![
             r.world.to_string(),
-            r.engine.to_string(),
+            r.backend.to_string(),
             r.agents.to_string(),
             r.steps.to_string(),
             format!("{:.1}", r.steps_per_sec),
@@ -643,16 +624,18 @@ fn stages_object(values: &[f64; Stage::COUNT], precision: usize) -> String {
 }
 
 /// JSON for `results/step_throughput_<scale>.json` and the repo-root
-/// `BENCH_step_throughput.json`: per-stage breakdowns for both engines
-/// plus CPU-over-GPU ratios, per world, and the backend scale ladder —
-/// v3 adds per-cell occupancy / traversal mode / per-stage timings and
-/// the sparse-over-dense and thread-scaling-efficiency derived series.
+/// `BENCH_step_throughput.json`: per-stage breakdowns for both
+/// [`PAIR_BACKENDS`] plus scalar-over-simt ratios, per world, and the
+/// backend scale ladder with its sparse-over-dense and
+/// thread-scaling-efficiency derived series. v4 keys the world rows by
+/// backend and drops the ladder's duplicate `scalar` cell together with
+/// its pooled-over-scalar movement series.
 pub fn to_json(scale: Scale, cfg: &StConfig, rows: &[StRow], ladder: &[LadderRow]) -> String {
     let ratios = ratios(rows);
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"step_throughput\",\n");
-    s.push_str("  \"schema\": \"pedsim.step_throughput.v3\",\n");
+    s.push_str("  \"schema\": \"pedsim.step_throughput.v4\",\n");
     s.push_str(&format!("  \"scale\": \"{}\",\n", scale.label()));
     s.push_str(&format!("  \"side\": {},\n", cfg.side));
     s.push_str(&format!("  \"steps_per_replica\": {},\n", cfg.steps));
@@ -667,14 +650,14 @@ pub fn to_json(scale: Scale, cfg: &StConfig, rows: &[StRow], ladder: &[LadderRow
         s.push_str(&format!(
             "    {{\"world\": \"{world}\", \"open\": {open}, \"engines\": [\n"
         ));
-        let engine_rows: Vec<_> = rows.iter().filter(|r| r.world == *world).collect();
-        for (i, r) in engine_rows.iter().enumerate() {
-            let comma = if i + 1 < engine_rows.len() { "," } else { "" };
+        let world_rows: Vec<_> = rows.iter().filter(|r| r.world == *world).collect();
+        for (i, r) in world_rows.iter().enumerate() {
+            let comma = if i + 1 < world_rows.len() { "," } else { "" };
             s.push_str(&format!(
-                "      {{\"engine\": \"{}\", \"agents\": {}, \"steps\": {}, \
+                "      {{\"backend\": \"{}\", \"agents\": {}, \"steps\": {}, \
                  \"steps_per_sec\": {:.1}, \"total_ms_per_step\": {:.4}, \
                  \"stages_ms_per_step\": {}}}{comma}\n",
-                r.engine,
+                r.backend,
                 r.agents,
                 r.steps,
                 r.steps_per_sec,
@@ -685,7 +668,7 @@ pub fn to_json(scale: Scale, cfg: &StConfig, rows: &[StRow], ladder: &[LadderRow
         s.push_str("    ]");
         if let Some(ratio) = ratios.iter().find(|x| x.world == *world) {
             s.push_str(&format!(
-                ", \"cpu_over_gpu\": {{\"total\": {:.3}, \"stages\": {}}}",
+                ", \"scalar_over_simt\": {{\"total\": {:.3}, \"stages\": {}}}",
                 ratio.total,
                 stages_object(&ratio.stages, 3),
             ));
@@ -714,15 +697,6 @@ pub fn to_json(scale: Scale, cfg: &StConfig, rows: &[StRow], ladder: &[LadderRow
             r.movement_ms,
             r.total_ms,
             stages_object(&r.stage_ms, 4),
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"ladder_movement_speedup\": [\n");
-    let speedups = ladder_speedups(ladder);
-    for (i, (side, mode, x)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"side\": {side}, \"mode\": \"{mode}\", \"pooled_over_scalar\": {x:.3}}}{comma}\n"
         ));
     }
     s.push_str("  ],\n");
@@ -763,12 +737,12 @@ mod tests {
             assert!(job.validate().is_ok());
         }
         for (world, open) in cfg.worlds() {
-            for engine in ["cpu", "gpu"] {
-                let label = format!("{world}/{engine}");
+            for backend in PAIR_BACKENDS {
+                let label = format!("{world}/{backend}");
                 let matched: Vec<_> = jobs.iter().filter(|j| j.label == label).collect();
                 assert_eq!(matched.len(), cfg.repeats as usize, "{label}");
                 for j in matched {
-                    assert_eq!(j.engine.name(), engine);
+                    assert_eq!(j.backend, Backend::named(backend, 1));
                     let s = j.cfg.scenario.as_ref().expect("registry world");
                     assert_eq!(s.is_open(), open);
                 }
@@ -788,11 +762,11 @@ mod tests {
             seed: 1,
         };
         let rows = run(&cfg, 2);
-        assert_eq!(rows.len(), 4, "2 worlds x 2 engines");
+        assert_eq!(rows.len(), 4, "2 worlds x 2 backends");
         assert!(covers_both_engines_and_all_stages(&rows));
         for r in &rows {
             assert_eq!(r.steps, cfg.steps);
-            assert!(r.steps_per_sec > 0.0, "{}/{} untimed", r.world, r.engine);
+            assert!(r.steps_per_sec > 0.0, "{}/{} untimed", r.world, r.backend);
             assert!(r.total_ms > 0.0);
             // Open worlds exercise the lifecycle stage for real.
             if r.open {
@@ -806,12 +780,13 @@ mod tests {
         }
         let json = to_json(Scale::Smoke, &cfg, &rows, &[]);
         assert!(json.contains("\"bench\": \"step_throughput\""));
-        assert!(json.contains("\"schema\": \"pedsim.step_throughput.v3\""));
+        assert!(json.contains("\"schema\": \"pedsim.step_throughput.v4\""));
         for stage in Stage::ALL {
             assert!(json.contains(&format!("\"{}\":", stage.name())));
         }
-        assert!(json.contains("\"cpu\"") && json.contains("\"gpu\""));
-        assert!(json.contains("cpu_over_gpu"));
+        assert!(json.contains("\"backend\": \"scalar\""));
+        assert!(json.contains("\"backend\": \"simt\""));
+        assert!(json.contains("scalar_over_simt"));
         assert!(json.contains("\"ladder\": ["));
     }
 
@@ -839,7 +814,7 @@ mod tests {
             for &mode in ladder_modes(backend) {
                 let label = ladder_label(96, backend, threads, mode);
                 let job = jobs.iter().find(|j| j.label == label).expect("cell");
-                assert_eq!(job.engine.backend_sel(), (backend, threads));
+                assert_eq!(job.backend, Backend::named(backend, threads));
                 assert_eq!(job.cfg.iteration, mode);
             }
         }
@@ -882,14 +857,10 @@ mod tests {
             assert!(r.movement_ms > 0.0);
             assert_eq!(r.movement_ms, r.stage_ms[Stage::Movement.index()]);
         }
-        // One movement-speedup entry (the host mode); sparse-over-dense
-        // for simt alone; pooled scaling per thread count.
-        let speedups = ladder_speedups(&rows);
-        assert_eq!(speedups.len(), 1);
-        for (side, _, x) in &speedups {
-            assert_eq!(*side, 24);
-            assert!(*x > 0.0);
-        }
+        // No duplicate scalar cell: the host engine's one-thread series
+        // is pooled t1. Sparse-over-dense for simt alone; pooled scaling
+        // per thread count.
+        assert!(rows.iter().all(|r| r.backend != "scalar"));
         let sparse = sparse_speedups(&rows);
         assert_eq!(sparse.len(), 1);
         assert!(sparse.iter().all(|(_, b, _, x)| *b == "simt" && *x > 0.0));
@@ -906,7 +877,7 @@ mod tests {
         assert!(json.contains("\"iteration_mode\": \"sparse\""));
         assert!(json.contains("\"occupancy\":"));
         assert!(json.contains("\"stages_ms_per_step\":"));
-        assert!(json.contains("ladder_movement_speedup"));
+        assert!(!json.contains("ladder_movement_speedup"));
         assert!(json.contains("sparse_over_dense"));
         assert!(json.contains("thread_scaling_efficiency"));
     }
@@ -914,48 +885,53 @@ mod tests {
     #[test]
     fn coverage_gate_rejects_missing_engines_and_idle_stages() {
         assert!(!covers_both_engines_and_all_stages(&[]));
-        let row = |engine: &'static str| StRow {
+        let row = |backend: &'static str| StRow {
             world: "paper_corridor",
             open: false,
-            engine,
+            backend,
             agents: 10,
             steps: 5,
             steps_per_sec: 1.0,
             stage_ms: [1.0; Stage::COUNT],
             total_ms: 6.0,
         };
-        // GPU row missing.
-        assert!(!covers_both_engines_and_all_stages(&[row("cpu")]));
+        // simt row missing; a row under any other backend key does not
+        // stand in for it.
+        assert!(!covers_both_engines_and_all_stages(&[row("scalar")]));
+        assert!(!covers_both_engines_and_all_stages(&[
+            row("scalar"),
+            row("pooled")
+        ]));
         // Both present: covered.
         assert!(covers_both_engines_and_all_stages(&[
-            row("cpu"),
-            row("gpu")
+            row("scalar"),
+            row("simt")
         ]));
         // A zero kernel stage breaks coverage.
-        let mut dead = row("gpu");
+        let mut dead = row("simt");
         dead.stage_ms[Stage::Tour.index()] = 0.0;
-        assert!(!covers_both_engines_and_all_stages(&[row("cpu"), dead]));
+        assert!(!covers_both_engines_and_all_stages(&[row("scalar"), dead]));
         // An open world with an idle lifecycle stage breaks coverage; a
         // closed world is allowed a zero lifecycle column.
-        let open_row = |engine: &'static str, lifecycle_ms: f64| {
-            let mut r = row(engine);
+        let open_row = |backend: &'static str, lifecycle_ms: f64| {
+            let mut r = row(backend);
             r.world = "open_corridor";
             r.open = true;
             r.stage_ms[Stage::Lifecycle.index()] = lifecycle_ms;
             r
         };
         assert!(covers_both_engines_and_all_stages(&[
-            open_row("cpu", 0.01),
-            open_row("gpu", 0.01),
+            open_row("scalar", 0.01),
+            open_row("simt", 0.01),
         ]));
         assert!(!covers_both_engines_and_all_stages(&[
-            open_row("cpu", 0.01),
-            open_row("gpu", 0.0),
+            open_row("scalar", 0.01),
+            open_row("simt", 0.0),
         ]));
-        let mut closed_idle = row("gpu");
+        let mut closed_idle = row("simt");
         closed_idle.stage_ms[Stage::Lifecycle.index()] = 0.0;
         assert!(covers_both_engines_and_all_stages(&[
-            row("cpu"),
+            row("scalar"),
             closed_idle
         ]));
     }

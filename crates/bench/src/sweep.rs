@@ -119,9 +119,10 @@ impl SweepProtocol {
                     point.per_side * 2,
                     model.name()
                 );
-                jobs.push(Job::gpu(
+                jobs.push(Job::backend(
                     label,
                     SimConfig::from_scenario(&point.scenario, model),
+                    Backend::simt(),
                     stop.clone(),
                 ));
             }

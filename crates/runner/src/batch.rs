@@ -5,14 +5,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pedsim_core::engine::gpu::GpuEngine;
-use pedsim_core::engine::pooled::PooledEngine;
-use pedsim_core::engine::Engine;
+use pedsim_core::engine::EngineBackend;
 use pedsim_core::metrics::{band_count, lane_index, segregation_index};
 use pedsim_core::world::{CacheStats, CompiledWorld, WorldCache};
 use simt::exec::pool::WorkerPool;
 
-use crate::job::{EngineSel, Job, JobError};
+use crate::job::{Job, JobError};
 use crate::report::{BatchReport, RunResult, FLUX_REPORT_WINDOW};
 
 /// Runs job lists on a persistent thread pool.
@@ -89,15 +87,19 @@ impl Batch {
 
     /// Execute every job and aggregate the report, validating each job's
     /// run description first: a misconfigured stop condition (e.g. a
-    /// gridlock patience beyond the retained movement history) returns a
-    /// typed [`JobError`] before any worker thread starts, instead of
-    /// panicking inside the pool mid-batch. Blocks until the whole batch
-    /// has finished; jobs run in work-stealing order but the report is
-    /// deterministic (see [`BatchReport::from_results`]).
+    /// gridlock patience beyond the retained movement history) or an
+    /// unknown backend name returns a typed [`JobError`] before any worker
+    /// thread starts, instead of panicking inside the pool mid-batch.
+    /// Blocks until the whole batch has finished; jobs run in
+    /// work-stealing order but the report is deterministic (see
+    /// [`BatchReport::from_results`]).
     pub fn try_run(&self, jobs: &[Job]) -> Result<BatchReport, JobError> {
-        for job in jobs {
-            job.validate()?;
-        }
+        // Validation resolves each job's backend once; workers build from
+        // the resolved descriptor and never look a name up again.
+        let backends = jobs
+            .iter()
+            .map(Job::validate)
+            .collect::<Result<Vec<&'static EngineBackend>, JobError>>()?;
         // Resolve every job's world up front on the calling thread:
         // compile-once semantics need no cross-worker coordination, and
         // the per-job acquisition time (cache fetch vs. cold compile) is
@@ -117,7 +119,7 @@ impl Batch {
         let slots: Vec<Mutex<Option<RunResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         self.pool.run(jobs.len(), &|i| {
             let (world, setup) = &worlds[i];
-            let result = execute_with_world(&jobs[i], world, *setup);
+            let result = execute_with_world(&jobs[i], backends[i], world, *setup);
             *slots[i].lock() = Some(result);
         });
         Ok(BatchReport::from_results(
@@ -136,18 +138,16 @@ impl Batch {
     }
 }
 
-/// Run one job to completion on the current thread, compiling its world
-/// cold (no cache).
-pub fn execute(job: &Job) -> RunResult {
-    let t0 = Instant::now();
-    let world = CompiledWorld::compile(&job.cfg);
-    execute_with_world(job, &world, t0.elapsed())
-}
-
 /// Run one job to completion on the current thread over an already
-/// compiled world. `setup` is the time the caller spent acquiring the
-/// world (cold compile or cache fetch) and is reported verbatim.
-pub fn execute_with_world(job: &Job, world: &Arc<CompiledWorld>, setup: Duration) -> RunResult {
+/// compiled world, building its engine through the job's resolved
+/// `backend` descriptor. `setup` is the time the caller spent acquiring
+/// the world (cold compile or cache fetch) and is reported verbatim.
+fn execute_with_world(
+    job: &Job,
+    backend: &'static EngineBackend,
+    world: &Arc<CompiledWorld>,
+    setup: Duration,
+) -> RunResult {
     let world_name = job
         .cfg
         .scenario
@@ -167,33 +167,14 @@ pub fn execute_with_world(job: &Job, world: &Arc<CompiledWorld>, setup: Duration
             }
         },
     );
-    // Every selection flows through a `from_world` constructor, so the
-    // per-replica stage is one code path regardless of backend.
-    let engine: Box<dyn Engine + Send> = match &job.engine {
-        EngineSel::Cpu => Box::new(PooledEngine::from_world(world, job.cfg.clone(), 1)),
-        EngineSel::Gpu(device) => Box::new(GpuEngine::from_world(
-            world,
-            job.cfg.clone(),
-            device.clone(),
-        )),
-        EngineSel::Backend(b) => {
-            // Validation resolves the name first; a direct execute() call
-            // on an unvalidated job panics with the typed message.
-            b.build_from_world(world, job.cfg.clone())
-                .unwrap_or_else(|e| panic!("job {:?}: {e}", job.label))
-        }
+    // A serial backend runs on one thread whatever the selection asked
+    // for; the provenance reports the threads that actually execute.
+    let threads = if backend.parallel {
+        job.backend.threads.max(1)
+    } else {
+        1
     };
-    finish(job, world_name, agents, world.fingerprint(), setup, engine)
-}
-
-fn finish<E: Engine>(
-    job: &Job,
-    world: String,
-    agents: usize,
-    config: u64,
-    setup: Duration,
-    mut engine: E,
-) -> RunResult {
+    let mut engine = backend.build(world, job.cfg.clone(), threads);
     // Untimed warmup: run the discard steps, then snapshot the pipeline
     // clocks so the reported timings cover the measured phase only.
     if job.warmup > 0 {
@@ -210,16 +191,15 @@ fn finish<E: Engine>(
     let metrics = engine.metrics();
     // One snapshot serves all three order parameters.
     let mat = metrics.is_some().then(|| engine.mat_snapshot());
-    let (backend, threads) = job.engine.backend_sel();
     RunResult {
         label: job.label.clone(),
-        world,
+        world: world_name,
         model: engine.model().name().to_string(),
-        engine: job.engine.name(),
-        backend,
+        engine: backend.name,
+        backend: backend.name,
         threads,
         mode: engine.iteration_mode().name(),
-        config,
+        config: world.fingerprint(),
         seed: job.cfg.env.seed,
         agents,
         steps: engine.steps_done() - warm_steps,
@@ -241,15 +221,16 @@ fn finish<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pedsim_core::engine::StopCondition;
+    use pedsim_core::engine::{Backend, StopCondition};
     use pedsim_core::params::{ModelKind, SimConfig};
     use pedsim_grid::EnvConfig;
 
     fn corridor_job(label: &str, seed: u64, steps: u64) -> Job {
         let env = EnvConfig::small(24, 24, 16).with_seed(seed);
-        Job::gpu(
+        Job::backend(
             label,
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(steps),
         )
     }
@@ -267,9 +248,10 @@ mod tests {
     fn early_termination_undershoots_the_budget() {
         // A near-empty corridor crosses everyone long before 5,000 steps.
         let env = EnvConfig::small(24, 24, 4).with_seed(3);
-        let job = Job::gpu(
+        let job = Job::backend(
             "sparse",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(5_000),
         );
         let report = Batch::new(1).run(&[job]);
@@ -280,28 +262,36 @@ mod tests {
     }
 
     #[test]
-    fn cpu_and_gpu_jobs_agree_in_one_batch() {
+    fn host_and_simt_jobs_agree_in_one_batch() {
         let env = EnvConfig::small(24, 24, 16).with_seed(9);
         let cfg = SimConfig::new(env, ModelKind::aco());
-        let jobs = vec![
-            Job::cpu("ref", cfg.clone(), StopCondition::Steps(40)),
-            Job::gpu("ref", cfg, StopCondition::Steps(40)),
-        ];
+        let jobs: Vec<Job> = [Backend::scalar(), Backend::pooled(2), Backend::simt()]
+            .into_iter()
+            .map(|b| Job::backend("ref", cfg.clone(), b, StopCondition::Steps(40)))
+            .collect();
         let report = Batch::new(2).run(&jobs);
-        let [a, b] = &report.results[..] else {
-            panic!("two results")
+        let [a, rest @ ..] = &report.results[..] else {
+            panic!("three results")
         };
-        // Same configuration ⇒ bit-identical trajectories on both engines.
-        assert_eq!(a.throughput, b.throughput);
-        assert_eq!(a.total_moves, b.total_moves);
-        assert_eq!(a.lane_index, b.lane_index);
+        assert_eq!(rest.len(), 2);
+        // Same configuration ⇒ bit-identical trajectories on every backend.
+        for b in rest {
+            assert_eq!(a.throughput, b.throughput, "{}", b.backend);
+            assert_eq!(a.total_moves, b.total_moves, "{}", b.backend);
+            assert_eq!(a.lane_index, b.lane_index, "{}", b.backend);
+        }
     }
 
     #[test]
     fn metrics_off_reports_nulls() {
         let env = EnvConfig::small(24, 24, 8).with_seed(1);
         let cfg = SimConfig::new(env, ModelKind::lem()).with_metrics(false);
-        let report = Batch::new(1).run(&[Job::gpu("t", cfg, StopCondition::Steps(10))]);
+        let report = Batch::new(1).run(&[Job::backend(
+            "t",
+            cfg,
+            Backend::simt(),
+            StopCondition::Steps(10),
+        )]);
         let r = &report.results[0];
         assert_eq!(r.throughput, None);
         assert_eq!(r.total_moves, None);
@@ -313,9 +303,10 @@ mod tests {
     fn oversized_gridlock_patience_is_a_typed_error_not_a_worker_panic() {
         use pedsim_core::metrics::MAX_GRIDLOCK_PATIENCE;
         let env = EnvConfig::small(16, 16, 4).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "too-patient",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::Gridlocked {
                 threshold: 1,
                 patience: MAX_GRIDLOCK_PATIENCE + 1,
@@ -332,9 +323,10 @@ mod tests {
         );
         // run() panics on the *calling* thread with the typed message.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let bad = Job::gpu(
+            let bad = Job::backend(
                 "too-patient",
                 SimConfig::new(env, ModelKind::lem()),
+                Backend::simt(),
                 StopCondition::Gridlocked {
                     threshold: 1,
                     patience: MAX_GRIDLOCK_PATIENCE + 1,
@@ -357,9 +349,10 @@ mod tests {
         // thread after the remaining jobs drain, and the pool survives
         // for the next batch.
         let env = EnvConfig::small(8, 8, 1_000).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "boom",
             SimConfig::new(env, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::Steps(5),
         );
         let batch = Batch::new(2);
@@ -377,9 +370,10 @@ mod tests {
         // The EnvConfig record mirrors only group 0; the report must count
         // the scenario's full (uneven) population.
         let scenario = pedsim_scenario::registry::asymmetric_corridor(24, 24, 30, 10).with_seed(4);
-        let job = Job::gpu(
+        let job = Job::backend(
             "asym",
             SimConfig::from_scenario(&scenario, ModelKind::lem()),
+            Backend::simt(),
             StopCondition::arrived_or_steps(300),
         );
         let report = Batch::new(1).run(&[job]);
@@ -398,9 +392,10 @@ mod tests {
         // StopCondition::check on a worker thread. Job validation now
         // rejects the description before any worker starts.
         let env = EnvConfig::small(16, 16, 4).with_seed(1);
-        let bad = Job::gpu(
+        let bad = Job::backend(
             "bad",
             SimConfig::new(env, ModelKind::lem()).with_metrics(false),
+            Backend::simt(),
             StopCondition::AllArrived,
         );
         let batch = Batch::new(2);

@@ -1,8 +1,9 @@
 //! Job descriptions: one independent replica per [`Job`].
 
-use pedsim_core::engine::{Backend, InvalidStopCondition, StopCondition, UnknownBackend};
+use pedsim_core::engine::{
+    Backend, EngineBackend, InvalidStopCondition, StopCondition, UnknownBackend,
+};
 use pedsim_core::params::SimConfig;
-use simt::Device;
 
 /// Why a [`Job`] is rejected before execution.
 ///
@@ -49,60 +50,7 @@ impl std::error::Error for JobError {
     }
 }
 
-/// Which engine executes a job.
-///
-/// Batch parallelism comes from running many replicas concurrently, so
-/// the default GPU selection is a **sequential** device — nesting a
-/// parallel device inside every batch worker would oversubscribe the
-/// host without changing any trajectory (engines are schedule-
-/// independent). Pass an explicit parallel device (e.g. for a
-/// single-job timing batch) via [`EngineSel::Gpu`]; sharing one
-/// parallel device across concurrent jobs is safe (its pool serializes
-/// launches) but makes them take turns.
-#[derive(Debug, Clone)]
-pub enum EngineSel {
-    /// The single-threaded reference engine.
-    Cpu,
-    /// The virtual-GPU engine on the given device.
-    Gpu(Device),
-    /// A registry backend selected by name (`scalar` / `pooled` / `simt`),
-    /// resolved at validation time — an unknown name is a typed
-    /// [`JobError::UnknownBackend`], never a worker panic.
-    Backend(Backend),
-}
-
-impl EngineSel {
-    /// Stable name for reports ("cpu" / "gpu", or the registry key for
-    /// [`EngineSel::Backend`] jobs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineSel::Cpu => "cpu",
-            EngineSel::Gpu(_) => "gpu",
-            // Resolve to the registry's static name; validation catches
-            // unknown names before any report is written.
-            EngineSel::Backend(b) => b.resolve().map_or("unknown", |d| d.name),
-        }
-    }
-
-    /// Backend provenance for results: the registry key and thread count
-    /// actually executing this job. The legacy selectors map onto their
-    /// registry equivalents (`Cpu` → `scalar`/1, `Gpu` → `simt` with the
-    /// device's worker count); a serial backend runs on one thread
-    /// whatever thread count was requested.
-    pub fn backend_sel(&self) -> (&'static str, usize) {
-        match self {
-            EngineSel::Cpu => ("scalar", 1),
-            EngineSel::Gpu(device) => ("simt", device.worker_count()),
-            EngineSel::Backend(b) => match b.resolve() {
-                Ok(d) if !d.parallel => (d.name, 1),
-                Ok(d) => (d.name, b.threads),
-                Err(_) => ("unknown", b.threads),
-            },
-        }
-    }
-}
-
-/// One replica: a configuration (scenario × model × seed), an engine, and
+/// One replica: a configuration (scenario × model × seed), a backend, and
 /// a stop condition.
 #[derive(Debug, Clone)]
 pub struct Job {
@@ -115,8 +63,14 @@ pub struct Job {
     /// default); timing protocols may switch it off and stop on
     /// [`StopCondition::Steps`] alone.
     pub cfg: SimConfig,
-    /// Engine selection.
-    pub engine: EngineSel,
+    /// Engine selection: a registry key and thread count, resolved once
+    /// at validation time (an unknown name is a typed
+    /// [`JobError::UnknownBackend`], never a worker panic). Batch
+    /// parallelism comes from running replicas concurrently, so the usual
+    /// choice is one thread per job — [`Backend::simt`] is the virtual GPU
+    /// on a sequential device; give a parallel backend more threads only
+    /// for single-job timing batches.
+    pub backend: Backend,
     /// When this replica is done.
     pub stop: StopCondition,
     /// Untimed warmup steps executed before the measured loop starts.
@@ -129,46 +83,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// A GPU job on a fresh **sequential** device (the batch default; see
-    /// [`EngineSel`]).
-    pub fn gpu(label: impl Into<String>, cfg: SimConfig, stop: StopCondition) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Gpu(Device::sequential()),
-            stop,
-            warmup: 0,
-        }
-    }
-
-    /// A GPU job on an explicit device (shared pools, parallel policies,
-    /// profiling devices).
-    pub fn on_device(
-        label: impl Into<String>,
-        cfg: SimConfig,
-        device: Device,
-        stop: StopCondition,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Gpu(device),
-            stop,
-            warmup: 0,
-        }
-    }
-
-    /// A CPU-reference job.
-    pub fn cpu(label: impl Into<String>, cfg: SimConfig, stop: StopCondition) -> Self {
-        Self {
-            label: label.into(),
-            cfg,
-            engine: EngineSel::Cpu,
-            stop,
-            warmup: 0,
-        }
-    }
-
     /// A job on a registry backend selected by name and thread count.
     pub fn backend(
         label: impl Into<String>,
@@ -179,7 +93,7 @@ impl Job {
         Self {
             label: label.into(),
             cfg,
-            engine: EngineSel::Backend(backend),
+            backend,
             stop,
             warmup: 0,
         }
@@ -193,26 +107,26 @@ impl Job {
         self
     }
 
-    /// Check the job's run description without executing it — the batch
-    /// runner validates every job up front so a misconfigured stop
-    /// condition surfaces as a typed error on the calling thread, never a
-    /// worker panic mid-batch. Covers both the condition's parameters and
-    /// its fit with this job's engine configuration: a metric-based stop
-    /// on a `track_metrics`-off config can never fire.
-    pub fn validate(&self) -> Result<(), JobError> {
+    /// Check the job's run description without executing it and resolve
+    /// its backend — the batch runner validates every job up front so a
+    /// misconfigured stop condition or an unknown backend name surfaces as
+    /// a typed error on the calling thread, never a worker panic
+    /// mid-batch. Covers both the condition's parameters and its fit with
+    /// this job's engine configuration: a metric-based stop on a
+    /// `track_metrics`-off config can never fire.
+    pub fn validate(&self) -> Result<&'static EngineBackend, JobError> {
         self.stop
             .validate_for(self.cfg.track_metrics)
             .map_err(|source| JobError::InvalidStop {
                 label: self.label.clone(),
                 source,
             })?;
-        if let EngineSel::Backend(b) = &self.engine {
-            b.resolve().map_err(|source| JobError::UnknownBackend {
+        self.backend
+            .resolve()
+            .map_err(|source| JobError::UnknownBackend {
                 label: self.label.clone(),
                 source,
-            })?;
-        }
-        Ok(())
+            })
     }
 }
 
@@ -223,36 +137,38 @@ mod tests {
     use pedsim_grid::EnvConfig;
 
     #[test]
-    fn constructors_select_engines() {
-        let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        let g = Job::gpu("g", cfg.clone(), StopCondition::Steps(1));
-        let c = Job::cpu("c", cfg.clone(), StopCondition::Steps(1));
-        assert_eq!(g.engine.name(), "gpu");
-        assert_eq!(c.engine.name(), "cpu");
-        let d = Job::on_device("d", cfg, Device::parallel(), StopCondition::Steps(1));
-        assert_eq!(d.engine.name(), "gpu");
-    }
-
-    #[test]
     fn backend_jobs_resolve_and_report_provenance() {
         let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        // A serial backend reports the one thread it runs on, whatever
-        // thread count the selection carries.
-        for (backend, name, threads) in [
+        // Provenance comes from the resolved descriptor: a parallel
+        // backend reports its thread count, a serial one the one thread
+        // it runs on, whatever thread count the selection carries.
+        let cases = [
             (Backend::pooled(4), "pooled", 4),
             (Backend::named("scalar", 4), "scalar", 1),
-        ] {
-            let j = Job::backend("p", cfg.clone(), backend, StopCondition::Steps(1));
-            assert_eq!(j.engine.name(), name);
-            assert_eq!(j.engine.backend_sel(), (name, threads));
-            assert!(j.validate().is_ok());
+            (Backend::simt(), "simt", 1),
+            (Backend::named("simt", 3), "simt", 3),
+            (Backend::scalar(), "scalar", 1),
+        ];
+        let jobs: Vec<Job> = cases
+            .iter()
+            .enumerate()
+            .map(|(i, (backend, _, _))| {
+                Job::backend(
+                    format!("p{i}"),
+                    cfg.clone(),
+                    backend.clone(),
+                    StopCondition::Steps(1),
+                )
+            })
+            .collect();
+        for (job, (_, name, _)) in jobs.iter().zip(&cases) {
+            assert_eq!(job.validate().map(|d| d.name), Ok(*name));
         }
-        // The legacy selectors map onto their registry equivalents.
-        assert_eq!(EngineSel::Cpu.backend_sel(), ("scalar", 1));
-        let (name, _) = Job::gpu("g", cfg, StopCondition::Steps(1))
-            .engine
-            .backend_sel();
-        assert_eq!(name, "simt");
+        let report = crate::Batch::new(1).run(&jobs);
+        for (i, (_, name, threads)) in cases.iter().enumerate() {
+            let r = report.with_label(&format!("p{i}")).next().expect("result");
+            assert_eq!((r.engine, r.backend, r.threads), (*name, *name, *threads));
+        }
     }
 
     #[test]
@@ -268,21 +184,25 @@ mod tests {
         assert!(matches!(err, JobError::UnknownBackend { ref label, .. } if label == "mystery"));
         let msg = err.to_string();
         assert!(msg.contains("cuda") && msg.contains("scalar"), "{msg}");
+        // The batch surfaces the same typed error before any worker runs.
+        assert_eq!(crate::Batch::new(1).try_run(&[j]).unwrap_err(), err);
     }
 
     #[test]
     fn validate_flags_oversized_gridlock_patience() {
         use pedsim_core::metrics::MAX_GRIDLOCK_PATIENCE;
         let cfg = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        let ok = Job::gpu(
+        let ok = Job::backend(
             "ok",
             cfg.clone(),
+            Backend::simt(),
             StopCondition::settled_or_steps(100, 1, 32),
         );
-        assert_eq!(ok.validate(), Ok(()));
-        let bad = Job::cpu(
+        assert!(ok.validate().is_ok());
+        let bad = Job::backend(
             "too-patient",
             cfg,
+            Backend::scalar(),
             StopCondition::Gridlocked {
                 threshold: 1,
                 patience: MAX_GRIDLOCK_PATIENCE + 7,
@@ -304,18 +224,25 @@ mod tests {
             StopCondition::settled_or_steps(100, 1, 8),
             StopCondition::steady_or_steps(100, 0.5, 8),
         ] {
-            let job = Job::cpu("dark", cfg.clone(), stop);
+            let job = Job::backend("dark", cfg.clone(), Backend::scalar(), stop);
             let err = job.validate().unwrap_err();
             assert!(err.to_string().contains("track_metrics"), "{err}");
         }
         // A pure step budget needs no metrics; metrics-on configs accept
         // metric-based stops as before.
-        assert!(Job::cpu("ok", cfg.clone(), StopCondition::Steps(10))
-            .validate()
-            .is_ok());
+        assert!(Job::backend(
+            "ok",
+            cfg.clone(),
+            Backend::scalar(),
+            StopCondition::Steps(10)
+        )
+        .validate()
+        .is_ok());
         let tracked = SimConfig::new(EnvConfig::small(16, 16, 4), ModelKind::lem());
-        assert!(Job::cpu("ok", tracked, StopCondition::AllArrived)
-            .validate()
-            .is_ok());
+        assert!(
+            Job::backend("ok", tracked, Backend::scalar(), StopCondition::AllArrived)
+                .validate()
+                .is_ok()
+        );
     }
 }

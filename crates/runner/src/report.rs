@@ -19,11 +19,12 @@ pub struct RunResult {
     pub world: String,
     /// Model name (`"LEM"` / `"ACO"`).
     pub model: String,
-    /// Engine name (`"cpu"` / `"gpu"`).
+    /// Engine name: the backend registry key, so always equal to
+    /// [`RunResult::backend`]. Kept as its own field because reports and
+    /// registry rows carry both columns.
     pub engine: &'static str,
     /// Backend registry key actually executing the job (`"scalar"` /
-    /// `"pooled"` / `"simt"`); the legacy engine selectors map onto
-    /// their registry equivalents.
+    /// `"pooled"` / `"simt"`).
     pub backend: &'static str,
     /// Worker-thread count of the executing backend (1 for sequential
     /// backends).
@@ -486,7 +487,7 @@ mod tests {
             label: label.into(),
             world: "paper_corridor".into(),
             model: "LEM".into(),
-            engine: "gpu",
+            engine: "simt",
             backend: "simt",
             threads: 1,
             mode: "sparse",
