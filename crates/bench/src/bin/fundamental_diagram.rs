@@ -21,6 +21,8 @@
 //! rises-then-saturates sanity check (or, with the cache on, when the
 //! probe's measured speedup lands under 5x despite a measurable cold
 //! arm). Progress chatter honors `PEDSIM_LOG` (off/summary/verbose).
+//! `--workers` exits with status 2 unless it is a positive integer of at
+//! most `scale::MAX_THREADS`.
 
 use pedsim_bench::fundamental_diagram as fd;
 use pedsim_bench::observe::{self, Sinks};

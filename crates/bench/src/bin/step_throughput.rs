@@ -16,14 +16,16 @@
 //! row per replica to the results registry (and, with `--journal`, one
 //! JSONL record per replica), and prints Markdown tables. Exits non-zero
 //! when the smoke-scale measurement does not cover both backends and
-//! every pipeline stage. Progress chatter honors `PEDSIM_LOG`.
+//! every stage each backend declares. Progress chatter honors
+//! `PEDSIM_LOG`.
 //!
 //! `--backend NAME [--threads N]` runs only the ladder cell(s) for that
 //! backend configuration (threads defaults to 1; `pooled` at 1/2/4 or
 //! `simt` at 1) — the CI thread-matrix entry point. Registry rows are
 //! appended; the backend-pair record and its coverage gate are skipped.
 //! `--workers`, `--threads` and the other count flags exit with status 2
-//! on a value that is not a positive integer.
+//! on a value that is not a positive integer; `--workers` and `--threads`
+//! also above `scale::MAX_THREADS`.
 //!
 //! `--ablation atomic` instead measures the rejected atomic-CAS movement
 //! kernel against the production scatter-to-gather kernel at this scale
@@ -206,9 +208,10 @@ fn main() {
     println!(
         "\nmeasurement {}",
         if ok && ladder_ok {
-            "covers both backends, every pipeline stage, and every ladder cell"
+            "covers both backends, every declared stage, and every ladder cell"
         } else {
-            "is INCOMPLETE: a backend, stage, or ladder cell reported no time"
+            "is INCOMPLETE: a backend, declared stage, or ladder cell reported no time, \
+             or an undeclared kernel stage reported some"
         },
     );
     // The coverage check is the CI acceptance gate at smoke scale; larger

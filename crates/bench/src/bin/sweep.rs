@@ -11,7 +11,8 @@
 //! stdout; `--journal` additionally appends one JSONL record per
 //! replica. `--verify-determinism` re-runs the whole sweep on 1 worker
 //! and asserts the JSON bytes match. Progress chatter honors
-//! `PEDSIM_LOG` (off/summary/verbose).
+//! `PEDSIM_LOG` (off/summary/verbose). `--workers` exits with status 2
+//! unless it is a positive integer of at most `scale::MAX_THREADS`.
 
 use pedsim_bench::report;
 use pedsim_bench::scale::{arg_value, count_arg_or_exit, Scale};

@@ -79,30 +79,53 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The largest value `--workers` and `--threads` accept. Both count OS
+/// threads started at once (`--workers N` becomes `Batch::new(N)`,
+/// `--threads N` a worker pool of N), so a typo such as
+/// `--workers 100000` must be rejected before any thread starts; 256 is
+/// far above the core count of any host these benches run on.
+pub const MAX_THREADS: usize = 256;
+
+/// The cap on `flag`'s value: [`MAX_THREADS`] for the thread-count flags,
+/// none for other counts (`--last`).
+fn count_cap(flag: &str) -> Option<usize> {
+    matches!(flag, "--workers" | "--threads").then_some(MAX_THREADS)
+}
+
 /// A count flag (`--workers`, `--threads`, `--last`) given without a
-/// positive integer value.
+/// positive integer value, or above its cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BadCount {
     /// The flag as written on the command line.
     pub flag: String,
     /// The value that followed it (empty when none did).
     pub value: String,
+    /// The largest value the flag accepts, when it has a cap.
+    pub cap: Option<usize>,
 }
 
 impl std::fmt::Display for BadCount {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} expects a positive integer, got {:?}",
-            self.flag, self.value
-        )
+        match self.cap {
+            Some(cap) => write!(
+                f,
+                "{} expects a positive integer of at most {cap}, got {:?}",
+                self.flag, self.value
+            ),
+            None => write!(
+                f,
+                "{} expects a positive integer, got {:?}",
+                self.flag, self.value
+            ),
+        }
     }
 }
 
 impl std::error::Error for BadCount {}
 
 /// Parse the positive count after `flag`: `Ok(None)` when the flag is
-/// absent, a typed error when its value is missing, unparsable or zero —
+/// absent, a typed error when its value is missing, unparsable, zero or
+/// above the flag's cap ([`MAX_THREADS`] for `--workers`/`--threads`) —
 /// silently falling back to a default used to run `--threads four` as
 /// one thread and record it as such.
 pub fn count_arg(args: &[String], flag: &str) -> Result<Option<usize>, BadCount> {
@@ -110,11 +133,13 @@ pub fn count_arg(args: &[String], flag: &str) -> Result<Option<usize>, BadCount>
         return Ok(None);
     }
     let value = arg_value(args, flag).unwrap_or_default();
+    let cap = count_cap(flag);
     match value.parse() {
-        Ok(n) if n > 0 => Ok(Some(n)),
+        Ok(n) if n > 0 && cap.is_none_or(|cap| n <= cap) => Ok(Some(n)),
         _ => Err(BadCount {
             flag: flag.to_string(),
             value,
+            cap,
         }),
     }
 }
@@ -160,9 +185,15 @@ mod tests {
         assert_eq!(arg_value(&args, "--part").as_deref(), Some("b"));
         assert_eq!(arg_value(&args, "--missing"), None);
         // Counts: absent, valid, and every way a value can be bad.
-        let count = |items: &[&str]| count_arg(&v(items), "--threads");
-        assert_eq!(count(&["--paper"]), Ok(None));
-        assert_eq!(count(&["--threads", "4"]), Ok(Some(4)));
+        let count = |flag: &str, items: &[&str]| count_arg(&v(items), flag);
+        assert_eq!(count("--threads", &["--paper"]), Ok(None));
+        assert_eq!(count("--threads", &["--threads", "4"]), Ok(Some(4)));
+        let cap = MAX_THREADS.to_string();
+        let over = (MAX_THREADS + 1).to_string();
+        assert_eq!(
+            count("--workers", &["--workers", &cap]),
+            Ok(Some(MAX_THREADS))
+        );
         for bad in [
             &["--threads", "four"][..],
             &["--threads", "0"],
@@ -170,10 +201,19 @@ mod tests {
             &["--threads", "2.5"],
             &["--threads", "18446744073709551616"],
             &["--threads"],
+            &["--threads", &over],
+            &["--workers", "100000"],
+            &["--workers", &over],
         ] {
-            let err = count(bad).unwrap_err();
-            assert_eq!(err.flag, "--threads");
-            assert!(err.to_string().contains("--threads"), "{err}");
+            let flag = bad[0];
+            let err = count(flag, bad).unwrap_err();
+            assert_eq!(err.flag, flag);
+            assert_eq!(err.cap, Some(MAX_THREADS));
+            assert!(err.to_string().contains(flag), "{err}");
+            assert!(err.to_string().contains(&cap), "{err}");
         }
+        // `--last` counts registry rows, not threads: no cap.
+        assert_eq!(count("--last", &["--last", "100000"]), Ok(Some(100_000)));
+        assert_eq!(count("--last", &["--last", "0"]).unwrap_err().cap, None);
     }
 }

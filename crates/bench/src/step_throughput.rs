@@ -159,6 +159,9 @@ pub struct StRow {
     pub steps_per_sec: f64,
     /// Mean milliseconds per step per stage ([`Stage::ALL`] order).
     pub stage_ms: [f64; Stage::COUNT],
+    /// The kernel stages the backend declares (from its
+    /// [`pedsim_core::engine::StepTimings`]).
+    pub kernels: &'static [Stage],
     /// Mean milliseconds per step across all stages.
     pub total_ms: f64,
 }
@@ -172,8 +175,8 @@ pub struct StRatio {
     pub world: &'static str,
     /// Total-pipeline ratio.
     pub total: f64,
-    /// Per-stage ratios ([`Stage::ALL`] order; 0 when the simt stage
-    /// measured zero time).
+    /// Per-stage ratios ([`Stage::ALL`] order; 0 when either side
+    /// measured zero time, as the host does on stages it does not run).
     pub stages: [f64; Stage::COUNT],
 }
 
@@ -198,6 +201,7 @@ struct CellTiming {
     steps: u64,
     steps_per_sec: f64,
     stage_ms: [f64; Stage::COUNT],
+    kernels: &'static [Stage],
     total_ms: f64,
 }
 
@@ -205,7 +209,8 @@ impl CellTiming {
     /// Reduce the replicas labelled `label`; `None` when there are none.
     fn of(report: &BatchReport, label: &str) -> Option<Self> {
         let results: Vec<&RunResult> = report.with_label(label).collect();
-        let agents = results.first()?.agents;
+        let first = results.first()?;
+        let (agents, kernels) = (first.agents, first.stages.kernel_stages());
         let steps: u64 = results.iter().map(|r| r.steps).sum();
         let wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
         let mut stage_ms = [0.0; Stage::COUNT];
@@ -223,6 +228,7 @@ impl CellTiming {
             steps,
             steps_per_sec: if wall > 0.0 { steps as f64 / wall } else { 0.0 },
             stage_ms,
+            kernels,
             total_ms: stage_ms.iter().sum(),
         })
     }
@@ -244,6 +250,7 @@ pub fn aggregate(cfg: &StConfig, report: &BatchReport) -> Vec<StRow> {
                 steps: t.steps,
                 steps_per_sec: t.steps_per_sec,
                 stage_ms: t.stage_ms,
+                kernels: t.kernels,
                 total_ms: t.total_ms,
             });
         }
@@ -277,11 +284,13 @@ pub fn ratios(rows: &[StRow]) -> Vec<StRatio> {
 }
 
 /// The smoke acceptance gate: every world was measured on **both**
-/// [`PAIR_BACKENDS`], every replica ran its full budget, and every stage that does
-/// real work reported non-zero time — the kernel stages everywhere, the
-/// metrics stage (tracking is on), and the lifecycle stage on open
-/// worlds (a silently-unconstructed lifecycle must fail the gate, not
-/// ship a zero column).
+/// [`PAIR_BACKENDS`], every replica ran its full budget, and every stage
+/// that does real work reported non-zero time — each kernel stage the
+/// backend declares, the metrics stage (tracking is on), and the
+/// lifecycle stage on open worlds (a silently-unconstructed lifecycle
+/// must fail the gate, not ship a zero column). A kernel stage the
+/// backend does not declare must read exactly zero, and the declared set
+/// must end in movement.
 pub fn covers_both_engines_and_all_stages(rows: &[StRow]) -> bool {
     let worlds: BTreeSet<&'static str> = rows.iter().map(|r| r.world).collect();
     !worlds.is_empty()
@@ -291,7 +300,10 @@ pub fn covers_both_engines_and_all_stages(rows: &[StRow]) -> bool {
                     r.world == *w
                         && r.backend == *b
                         && r.steps > 0
-                        && Stage::KERNELS.iter().all(|s| r.stage_ms[s.index()] > 0.0)
+                        && r.kernels.last() == Some(&Stage::Movement)
+                        && Stage::KERNELS
+                            .iter()
+                            .all(|s| (r.stage_ms[s.index()] > 0.0) == r.kernels.contains(s))
                         && r.stage_ms[Stage::Metrics.index()] > 0.0
                         && (!r.open || r.stage_ms[Stage::Lifecycle.index()] > 0.0)
                 })
@@ -885,15 +897,29 @@ mod tests {
     #[test]
     fn coverage_gate_rejects_missing_engines_and_idle_stages() {
         assert!(!covers_both_engines_and_all_stages(&[]));
-        let row = |backend: &'static str| StRow {
-            world: "paper_corridor",
-            open: false,
-            backend,
-            agents: 10,
-            steps: 5,
-            steps_per_sec: 1.0,
-            stage_ms: [1.0; Stage::COUNT],
-            total_ms: 6.0,
+        // The host decides in its Tour pass; simt runs all four kernels.
+        const HOST: &[Stage] = &[Stage::Tour, Stage::Movement];
+        let row = |backend: &'static str| {
+            let kernels = if backend == "simt" {
+                &Stage::KERNELS[..]
+            } else {
+                HOST
+            };
+            let mut stage_ms = [1.0; Stage::COUNT];
+            for s in Stage::KERNELS.into_iter().filter(|s| !kernels.contains(s)) {
+                stage_ms[s.index()] = 0.0;
+            }
+            StRow {
+                world: "paper_corridor",
+                open: false,
+                backend,
+                agents: 10,
+                steps: 5,
+                steps_per_sec: 1.0,
+                stage_ms,
+                kernels,
+                total_ms: stage_ms.iter().sum(),
+            }
         };
         // simt row missing; a row under any other backend key does not
         // stand in for it.
@@ -907,10 +933,31 @@ mod tests {
             row("scalar"),
             row("simt")
         ]));
-        // A zero kernel stage breaks coverage.
+        // A zero declared kernel stage breaks coverage, on either backend.
         let mut dead = row("simt");
         dead.stage_ms[Stage::Tour.index()] = 0.0;
         assert!(!covers_both_engines_and_all_stages(&[row("scalar"), dead]));
+        let mut dead = row("scalar");
+        dead.stage_ms[Stage::Tour.index()] = 0.0;
+        assert!(!covers_both_engines_and_all_stages(&[dead, row("simt")]));
+        let mut dead = row("simt");
+        dead.stage_ms[Stage::Init.index()] = 0.0;
+        assert!(!covers_both_engines_and_all_stages(&[row("scalar"), dead]));
+        // Time on a kernel stage the backend does not declare breaks
+        // coverage: a host row with non-zero init is mislabelled.
+        let mut stray = row("scalar");
+        stray.stage_ms[Stage::Init.index()] = 0.5;
+        assert!(!covers_both_engines_and_all_stages(&[stray, row("simt")]));
+        // A row that declares no kernel stages (or not movement last)
+        // covers nothing.
+        let mut undeclared = row("scalar");
+        undeclared.kernels = &[];
+        undeclared.stage_ms = [0.0; Stage::COUNT];
+        undeclared.stage_ms[Stage::Metrics.index()] = 1.0;
+        assert!(!covers_both_engines_and_all_stages(&[
+            undeclared,
+            row("simt")
+        ]));
         // An open world with an idle lifecycle stage breaks coverage; a
         // closed world is allowed a zero lifecycle column.
         let open_row = |backend: &'static str, lifecycle_ms: f64| {

@@ -82,7 +82,7 @@ pub fn property_schema() -> Table {
         (
             "FRONT CELL",
             "contents of the forward cell",
-            "props.front (u8)",
+            "simt DeviceState.front (u8); the host computes it in place",
         ),
     ] {
         t.push_row(vec![f, d, r]);

@@ -164,7 +164,7 @@ impl GpuEngine {
         let env = world.environment();
         let dist = world.distance();
         let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, &env, geom);
+        let core = StepCore::for_world::<GpuBackend>(&cfg, &env, geom);
         let state = DeviceState::upload(&env, &dist, cfg.model, cfg.checked);
         let seed = cfg.env.seed;
         let lc_cells =
@@ -269,6 +269,9 @@ impl GpuBackend {
 }
 
 impl StageBackend for GpuBackend {
+    /// The paper's kernel pipeline: all four kernel stages.
+    const KERNEL_STAGES: &'static [Stage] = &Stage::KERNELS;
+
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut pedsim_obs::Recorder) {
         let base = step_no * 4;
         let sparse = self.cfg.iteration == IterationMode::Sparse;

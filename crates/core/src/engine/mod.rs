@@ -12,7 +12,11 @@
 //!   `simt` virtual GPU (sequential or parallel execution policy).
 //!
 //! The host engine has one traversal and one set of stage functions for
-//! every thread count: agent-driven stages whose cost is O(live agents).
+//! every thread count: two agent-driven passes per step whose cost is
+//! O(live agents) — a decide pass that scores, reads the front cell and
+//! selects in place (timed as [`Stage::Tour`]), then movement. It
+//! declares only those two kernel stages
+//! ([`StageBackend::KERNEL_STAGES`]); simt declares all four.
 //! `simt` keeps two kernel mappings
 //! ([`IterationMode`](crate::params::IterationMode)): the paper's
 //! one-thread-per-cell `Dense` layout, which is the differential oracle,

@@ -1,24 +1,27 @@
-//! The unified step-pipeline core both engines drive.
+//! The step-pipeline core every engine drives.
 //!
-//! Before this module existed, the CPU and GPU engines' `step` methods
-//! each hand-rolled the same orchestration: run the four kernels in
-//! order, bump the step counter, observe metrics, run the open-boundary
-//! lifecycle. Only the GPU engine measured its stages. [`StepCore`] owns
-//! that orchestration exactly once — engines shrink to backend-specific
-//! stage executors behind [`StageBackend`] — and times **every** stage of
-//! **both** engines into a [`StepTimings`] report exposed through
+//! [`StepCore`] owns the orchestration of a step exactly once — run the
+//! backend's kernel stages in order, bump the step counter, observe
+//! metrics, run the open-boundary lifecycle — and engines shrink to
+//! backend-specific stage executors behind [`StageBackend`]. It times
+//! every stage it runs into a [`StepTimings`] report exposed through
 //! [`super::Engine::step_timings`]. That per-stage record is the paper's
 //! per-kernel speedup instrument generalised to the whole pipeline: the
 //! `step_throughput` bench harness turns it into the repo's perf
-//! trajectory, and every future optimisation PR is judged against it.
+//! trajectory.
+//!
+//! Each backend declares the kernel stages it runs
+//! ([`StageBackend::KERNEL_STAGES`]); the core runs exactly those and
+//! records the set in [`StepTimings`], so consumers read a backend's
+//! stage split from the report instead of keeping their own list. An
+//! undeclared kernel stage reads exactly zero.
 //!
 //! Ordering is part of the trajectory contract and is pinned here: the
-//! four kernel stages in §IV order, then the metrics observation, then
-//! the lifecycle phases (sinks drain arrivals *after* they were counted;
-//! sources feed the next step). Timing instrumentation never reorders or
-//! skips work, so trajectories through the core are bit-identical to the
-//! pre-refactor engines — asserted by the golden hashes in
-//! `tests/multi_group.rs`.
+//! declared kernel stages in §IV order, then the metrics observation,
+//! then the lifecycle phases (sinks drain arrivals *after* they were
+//! counted; sources feed the next step). Timing instrumentation never
+//! reorders or skips work, so trajectories are reproducible bit for bit —
+//! asserted by the golden hashes in `tests/multi_group.rs`.
 
 use std::time::{Duration, Instant};
 
@@ -29,8 +32,8 @@ use crate::metrics::{Metrics, GRIDLOCK_WARNING_WINDOW};
 use super::lifecycle::OpenLifecycle;
 
 /// Telemetry counter keys for per-kernel launch counts, indexed like
-/// [`Stage::KERNELS`]. Registered at zero on **both** engines by
-/// [`StepCore`], so CPU and GPU telemetry always share one shape; only
+/// [`Stage::KERNELS`]. Registered at zero on every engine by
+/// [`StepCore`], so host and GPU telemetry always share one shape; only
 /// the GPU backend increments them.
 pub const KERNEL_LAUNCH_KEYS: [&str; 4] = [
     "kernel.init.launches",
@@ -66,20 +69,24 @@ pub const GRIDLOCK_EVENT_THRESHOLD: f64 = 0.5;
 
 /// One phase of the unified step pipeline.
 ///
-/// The first four variants are the paper's kernels (§IV.b–e) executed by
-/// the backend; the last two are the shared post-step tail the core runs
-/// itself. Declaration order is the stable report order, not the
-/// execution order of the tail (metrics are observed before the
-/// lifecycle runs, so sinks drain arrivals that were already counted).
+/// The first four variants are the paper's kernels (§IV.b–e); a backend
+/// runs the subset it declares in [`StageBackend::KERNEL_STAGES`]. The
+/// last two are the shared post-step tail the core runs itself.
+/// Declaration order is the stable report order, not the execution order
+/// of the tail (metrics are observed before the lifecycle runs, so sinks
+/// drain arrivals that were already counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Supporting initialisation (§IV.e): clear the scan matrix and the
-    /// FUTURE buffers.
+    /// FUTURE buffers. simt only.
     Init,
     /// Initial calculation (§IV.b): score each occupied cell's
-    /// neighbourhood and record front-cell status.
+    /// neighbourhood and record front-cell status. simt only.
     InitialCalc,
-    /// Tour construction (§IV.c): every agent picks its future cell.
+    /// Tour construction (§IV.c): every agent picks its future cell. The
+    /// host engine scores and selects in this one pass — it computes the
+    /// scan row and front status in place, so it declares no
+    /// [`Stage::Init`] or [`Stage::InitialCalc`].
     Tour,
     /// Agent movement (§IV.d): scatter-to-gather conflict resolution and
     /// the pheromone update.
@@ -106,7 +113,8 @@ impl Stage {
         Stage::Metrics,
     ];
 
-    /// The four backend-executed kernel stages, in execution order.
+    /// The paper's four kernel stages, in execution order (the set simt
+    /// declares).
     pub const KERNELS: [Stage; 4] = [
         Stage::Init,
         Stage::InitialCalc,
@@ -153,18 +161,33 @@ impl Stage {
 
 /// Cumulative per-stage wall-clock timings of an engine's step pipeline.
 ///
-/// Accumulated by [`StepCore`] around every stage of every step, on both
-/// engines, through one code path — so CPU and GPU numbers are directly
+/// Accumulated by [`StepCore`] around every stage it runs, on every
+/// engine, through one code path — so host and GPU numbers are directly
 /// comparable (the paper's per-kernel speedup table, measured rather than
-/// modelled). Wall-clock readings are inherently non-deterministic; they
-/// never feed back into the simulation.
+/// modelled). The report carries the backend's declared kernel stage set;
+/// a kernel stage outside it reads exactly zero. Wall-clock readings are
+/// inherently non-deterministic; they never feed back into the
+/// simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepTimings {
     time: [Duration; Stage::COUNT],
     steps: u64,
+    kernels: &'static [Stage],
 }
 
 impl StepTimings {
+    /// The kernel stages the backend runs, in execution order (a subset
+    /// of [`Stage::KERNELS`]).
+    pub fn kernel_stages(&self) -> &'static [Stage] {
+        self.kernels
+    }
+
+    /// Whether the pipeline runs `stage`: a declared kernel stage, or one
+    /// of the core's own [`Stage::Lifecycle`] and [`Stage::Metrics`].
+    pub fn runs(&self, stage: Stage) -> bool {
+        !Stage::KERNELS.contains(&stage) || self.kernels.contains(&stage)
+    }
+
     /// Cumulative wall time spent in `stage` so far.
     pub fn of(&self, stage: Stage) -> Duration {
         self.time[stage.index()]
@@ -194,6 +217,7 @@ impl StepTimings {
             *slot = now.saturating_sub(*then);
         }
         out.steps = self.steps.saturating_sub(earlier.steps);
+        out.kernels = self.kernels;
         out
     }
 
@@ -211,22 +235,28 @@ impl StepTimings {
     }
 }
 
-/// The backend half of an engine: executes the four kernel stages over
-/// its own world representation and adapts that world to the shared
+/// The backend half of an engine: executes its declared kernel stages
+/// over its own world representation and adapts that world to the shared
 /// post-step tail. Everything else — sequencing, counting, timing,
 /// metrics, lifecycle — lives in [`StepCore`].
 ///
 /// This trait is the extension point of the backend registry
-/// ([`crate::engine::registry`]): a new execution strategy implements the
-/// four kernel stages here, pairs itself with a [`StepCore`], and
-/// registers an [`crate::engine::registry::EngineBackend`] descriptor —
-/// neither existing engine needs to change.
+/// ([`crate::engine::registry`]): a new execution strategy declares and
+/// implements its kernel stages here, pairs itself with a [`StepCore`],
+/// and registers an [`crate::engine::registry::EngineBackend`] descriptor
+/// — neither existing engine needs to change.
 pub trait StageBackend {
+    /// The kernel stages this backend runs each step, in execution order:
+    /// a non-empty subset of [`Stage::KERNELS`] ending in
+    /// [`Stage::Movement`], the step's one global barrier.
+    const KERNEL_STAGES: &'static [Stage];
+
     /// Execute one kernel stage of step `step_no` (0-based). Only ever
-    /// called with members of [`Stage::KERNELS`], in that order. `rec`
-    /// is the engine's telemetry recorder; backends with launch machinery
-    /// (the GPU) feed their per-kernel launch statistics into it, the CPU
-    /// has nothing to add (its keys stay pre-registered at zero).
+    /// called with members of [`Self::KERNEL_STAGES`], in that order.
+    /// `rec` is the engine's telemetry recorder; backends with launch
+    /// machinery (the GPU) feed their per-kernel launch statistics into
+    /// it, the host has nothing to add (its keys stay pre-registered at
+    /// zero).
     fn run_stage(&mut self, stage: Stage, step_no: u64, rec: &mut Recorder);
 
     /// Feed the post-step agent positions to the metrics observer.
@@ -256,12 +286,12 @@ pub struct StepCore {
 }
 
 impl StepCore {
-    /// Build the core for a configured world: compile the open-boundary
-    /// lifecycle when the scenario has one, and construct metrics when
-    /// tracking is on — the construction logic both engines previously
-    /// duplicated. `geom` is the engine's capacity-sized geometry (the
-    /// same instance its kernels use, so core and backend cannot drift).
-    pub fn for_world(
+    /// Build the core of a `B`-backed engine for a configured world: take
+    /// `B`'s kernel stage set, compile the open-boundary lifecycle when the
+    /// scenario has one, and construct metrics when tracking is on. `geom`
+    /// is the engine's capacity-sized geometry (the same instance its
+    /// kernels use, so core and backend cannot drift).
+    pub fn for_world<B: StageBackend>(
         cfg: &crate::params::SimConfig,
         env: &pedsim_grid::Environment,
         geom: crate::metrics::Geometry,
@@ -281,9 +311,9 @@ impl StepCore {
             }
             m
         });
-        // Pre-register the full launch-counter vocabulary so both
-        // engines expose identical telemetry keys; the CPU backend never
-        // touches them and reports zeros.
+        // Pre-register the full launch-counter and stage-histogram
+        // vocabulary so every engine exposes identical telemetry keys; the
+        // host backend never launches and reports zero counts.
         let mut recorder = Recorder::new();
         recorder.ensure_counter(STEPS_KEY);
         for k in 0..4 {
@@ -291,11 +321,17 @@ impl StepCore {
             recorder.ensure_counter(KERNEL_BLOCK_KEYS[k]);
             recorder.ensure_counter(KERNEL_THREAD_KEYS[k]);
         }
+        for stage in Stage::ALL {
+            recorder.ensure_histogram(stage.ns_key());
+        }
         Self {
             step_no: 0,
             metrics,
             lifecycle,
-            timings: StepTimings::default(),
+            timings: StepTimings {
+                kernels: B::KERNEL_STAGES,
+                ..StepTimings::default()
+            },
             recorder,
             warned: false,
         }
@@ -331,12 +367,13 @@ impl StepCore {
         );
     }
 
-    /// Advance one step: the four kernel stages in §IV order, then the
-    /// metrics observation, then the lifecycle phases — each timed and
-    /// recorded. Telemetry is strictly observe-only: nothing here feeds
-    /// back into the simulation, so trajectories are unchanged.
+    /// Advance one step: the backend's declared kernel stages in §IV
+    /// order, then the metrics observation, then the lifecycle phases —
+    /// each timed and recorded. Telemetry is strictly observe-only:
+    /// nothing here feeds back into the simulation, so trajectories are
+    /// unchanged.
     pub fn step<B: StageBackend>(&mut self, backend: &mut B) {
-        for stage in Stage::KERNELS {
+        for &stage in self.timings.kernels {
             let t0 = Instant::now();
             backend.run_stage(stage, self.step_no, &mut self.recorder);
             self.time_stage(stage, t0.elapsed());
@@ -408,17 +445,25 @@ mod tests {
         );
     }
 
+    /// Every stage the backend declares (and the metrics tail) is timed
+    /// and keeps accumulating; every kernel stage it does not declare
+    /// reads exactly zero.
     fn assert_monotone_and_covering(e: &mut dyn Engine, label: &str) {
+        let covers = |t: &StepTimings| {
+            for stage in Stage::KERNELS {
+                assert_eq!(
+                    t.of(stage) > Duration::ZERO,
+                    t.runs(stage),
+                    "{label}: kernel stage {} timed iff declared",
+                    stage.name()
+                );
+            }
+        };
         e.run(6);
         let first = e.step_timings().clone();
         assert_eq!(first.steps(), 6, "{label}: steps counted");
-        for stage in Stage::KERNELS {
-            assert!(
-                first.of(stage) > Duration::ZERO,
-                "{label}: kernel stage {} reported zero time",
-                stage.name()
-            );
-        }
+        assert_eq!(first.kernel_stages().last(), Some(&Stage::Movement));
+        covers(&first);
         assert!(
             first.of(Stage::Metrics) > Duration::ZERO,
             "{label}: metrics stage untimed"
@@ -426,8 +471,9 @@ mod tests {
         e.run(6);
         let second = e.step_timings().clone();
         assert_eq!(second.steps(), 12);
+        covers(&second);
         // Monotone: cumulative time never decreases for any stage, and
-        // kernel stages strictly grew (they did real work again).
+        // declared kernel stages strictly grew (they did real work again).
         for stage in Stage::ALL {
             assert!(
                 second.of(stage) >= first.of(stage),
@@ -435,7 +481,7 @@ mod tests {
                 stage.name()
             );
         }
-        for stage in Stage::KERNELS {
+        for &stage in second.kernel_stages() {
             assert!(
                 second.of(stage) > first.of(stage),
                 "{label}: kernel stage {} did not accumulate",
@@ -444,11 +490,20 @@ mod tests {
         }
         assert!(second.total() >= first.total());
         assert!(second.per_step_secs(Stage::Movement) > 0.0);
+        // The delta a timing harness reports keeps the stage set.
+        assert_eq!(second.delta(&first).kernel_stages(), first.kernel_stages());
     }
 
     #[test]
     fn cpu_timings_are_monotone_and_cover_every_stage() {
         let mut e = pooled_engine_small(24, 24, 20, ModelKind::lem(), 3, 1);
+        assert_eq!(
+            e.step_timings().kernel_stages(),
+            [Stage::Tour, Stage::Movement],
+            "the host engine decides in one pass, then moves"
+        );
+        assert!(!e.step_timings().runs(Stage::Init));
+        assert!(e.step_timings().runs(Stage::Lifecycle));
         assert_monotone_and_covering(&mut e, "cpu");
     }
 
@@ -457,6 +512,7 @@ mod tests {
         let env = pedsim_grid::EnvConfig::small(24, 24, 20).with_seed(3);
         let cfg = SimConfig::new(env, ModelKind::lem());
         let mut e = GpuEngine::new(cfg, Device::sequential());
+        assert_eq!(e.step_timings().kernel_stages(), Stage::KERNELS);
         assert_monotone_and_covering(&mut e, "gpu");
     }
 
@@ -513,11 +569,16 @@ mod tests {
             assert_eq!(tg.counter(KERNEL_BLOCK_KEYS[k]), report.blocks[k]);
             assert_eq!(tg.counter(KERNEL_THREAD_KEYS[k]), report.threads[k]);
         }
-        // Per-stage histograms cover every stage on both engines, and the
+        // One histogram vocabulary on both engines: every stage an engine
+        // runs holds a sample per step, every other one stays empty. The
         // deterministic gauges agree because the trajectories agree.
-        for t in [tc, tg] {
+        for (t, timings) in [(tc, cpu.step_timings()), (tg, gpu.step_timings())] {
             for stage in Stage::ALL {
-                assert_eq!(t.histogram(stage.ns_key()).expect("timed").count(), 8);
+                let want = if timings.runs(stage) { 8 } else { 0 };
+                assert_eq!(
+                    t.histogram(stage.ns_key()).expect("registered").count(),
+                    want
+                );
             }
         }
         assert_eq!(tc.gauge("sim.throughput"), tg.gauge("sim.throughput"));

@@ -1,17 +1,20 @@
 //! The host engine (`scalar` and `pooled` in the backend registry).
 //!
-//! One set of stage functions serves every thread count. Live agents are
-//! bucketed by contiguous row bands ([`RowBuckets`]) and every kernel
-//! stage runs over count-balanced groups of buckets, so no task visits an
-//! empty cell. At `threads > 1` the task groups run on a `simt`
-//! [`WorkerPool`]; at one thread no pool is built and [`dispatch`] runs
-//! the same task ids one after another on the calling thread — the
-//! paper's "sequential counterpart running on a single threaded CPU"
-//! (`scalar` is this engine at one thread). Every output slot is written
-//! by exactly one task — agent slots by the task owning the agent's
-//! bucket, grid cells by the unique winner moving out of or into them —
-//! so no locks are held in any hot loop. Only the ACO pheromone
-//! evaporation sweeps the (dense) field, over cell bands
+//! One set of stage functions serves every thread count. A step is two
+//! agent passes: a decide pass (§IV.b–c fused, timed as `Tour`) that
+//! computes each agent's scan row and front status in place, draws from
+//! its Tour stream and writes its FUTURE cell, then movement — the only
+//! barrier. Live agents are bucketed by contiguous row bands
+//! (`RowBuckets`) and both passes run over count-balanced groups of
+//! buckets, so no task visits an empty cell. At `threads > 1` the task
+//! groups run on a `simt` [`WorkerPool`]; at one thread no pool is built
+//! and `dispatch` runs the same task ids one after another on the
+//! calling thread — the paper's "sequential counterpart running on a
+//! single threaded CPU" (`scalar` is this engine at one thread). Every
+//! output slot is written by exactly one task — agent slots by the task
+//! owning the agent's bucket, grid cells by the unique winner moving out
+//! of or into them — so no locks are held in any hot loop. Only the ACO
+//! pheromone evaporation sweeps the (dense) field, over cell bands
 //! ([`band_ranges`]).
 //!
 //! Movement shares no claim state between tasks: each mover recomputes
@@ -25,14 +28,14 @@ use std::sync::Arc;
 
 use pedsim_grid::cell::{Group, CELL_EMPTY, CELL_WALL, NEIGHBOR_OFFSETS};
 use pedsim_grid::property::NO_FUTURE;
-use pedsim_grid::scan::{ScanMatrix, TourLengths};
+use pedsim_grid::scan::TourLengths;
 use pedsim_grid::{DistanceData, EnvConfig, Environment, Matrix, PheromoneField};
 use philox::StreamRng;
 use simt::exec::pool::WorkerPool;
 
 use crate::metrics::{Geometry, Metrics};
 use crate::model::{
-    aco_scan_row, aco_select, front_status, gather_winner, lem_scan_row, lem_select, ScanRow,
+    aco_scan_row, aco_select, front_status, gather_winner, lem_scan_row, lem_select,
 };
 use crate::params::{IterationMode, ModelKind, SimConfig};
 
@@ -363,7 +366,6 @@ struct PooledBackend {
     cfg: SimConfig,
     geom: Geometry,
     env: Environment,
-    scan: ScanMatrix,
     tour: TourLengths,
     pher: Option<PheromoneField>,
     pher_next: Option<PheromoneField>,
@@ -474,7 +476,7 @@ impl PooledEngine {
         let env = world.environment();
         let dist = world.distance();
         let geom = world.geometry();
-        let core = StepCore::for_world(&cfg, &env, geom);
+        let core = StepCore::for_world::<PooledBackend>(&cfg, &env, geom);
         let n = env.total_agents();
         let groups = env.n_groups();
         let (pher, pher_next) = match cfg.model {
@@ -513,7 +515,6 @@ impl PooledEngine {
             backend: PooledBackend {
                 cfg,
                 geom,
-                scan: ScanMatrix::new(n),
                 tour: TourLengths::new(n),
                 pher,
                 pher_next,
@@ -598,34 +599,18 @@ impl PooledBackend {
     // the per-phase [`WriteSet`] checks exactly this — an overlapping
     // bucket assignment double-writes an agent slot and panics.
 
-    fn stage_init(&mut self) {
-        // Only live slots are read downstream; clear their futures only.
+    fn stage_decide(&mut self, step_no: u64) {
+        // §IV.b–c in one agent pass: score the neighbourhood, read the
+        // front cell, draw from the agent's own Tour stream and write its
+        // FUTURE slots. Nothing here reads another agent's output — the
+        // grid and pheromone change only in movement — so the paper's
+        // barrier between scoring and selection has nothing to order.
+        let salt = step_no * 4 + KERNEL_TOUR;
         let parts = self.parts();
         let schedule = self.next_schedule();
         let buckets = &self.buckets;
         let groups = buckets.task_groups(parts);
-        let fr = Scatter::new(&mut self.env.props.future_row);
-        let fc = Scatter::new(&mut self.env.props.future_col);
-        dispatch(self.pool.as_ref(), schedule, parts, &|t| {
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    // SAFETY: agent-unique slots (bucket-disjoint tasks).
-                    unsafe {
-                        fr.write(a as usize, NO_FUTURE);
-                        fc.write(a as usize, NO_FUTURE);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_initial_calc(&mut self) {
-        // One pass per live agent: scan rows and front status are
-        // agent-keyed, so bucket-disjoint tasks cannot conflict.
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let buckets = &self.buckets;
-        let groups = buckets.task_groups(parts);
+        let seed = self.seed;
         let mat = &self.env.mat;
         let dist = self.dist.dist_ref();
         let model = self.cfg.model;
@@ -634,91 +619,41 @@ impl PooledBackend {
         let prow = &props.row;
         let pcol = &props.col;
         let ids = &props.id;
-        let sv = Scatter::new(&mut self.scan.vals);
-        let si = Scatter::new(&mut self.scan.idxs);
-        let front = Scatter::new(&mut props.front);
-        let front_k = Scatter::new(&mut props.front_k);
+        let fr = Scatter::new(&mut props.future_row);
+        let fc = Scatter::new(&mut props.future_col);
         dispatch(self.pool.as_ref(), schedule, parts, &|t| {
             let occ = |r: i64, c: i64| mat.get_or(r, c, CELL_WALL);
             for bkt in groups[t].clone() {
                 for &a in buckets.members(bkt) {
                     let ai = a as usize;
-                    let (r, c) = (prow[ai] as i64, pcol[ai] as i64);
+                    let (r, c) = (i64::from(prow[ai]), i64::from(pcol[ai]));
                     let g = Group::from_label(ids[ai]).expect("live slot has group label");
-                    let row: ScanRow = match model {
-                        ModelKind::Lem(p) => lem_scan_row(&occ, dist, g, r, c, p.scan_range),
+                    let fk = dist.front_k(g, r, c);
+                    let front = front_status(&occ, fk, r, c);
+                    let mut rng = StreamRng::with_offset(seed, u64::from(a), salt << 4);
+                    let k = match model {
+                        ModelKind::Lem(p) => {
+                            let row = lem_scan_row(&occ, dist, g, r, c, p.scan_range);
+                            lem_select(&row, front, fk, &p, &mut rng)
+                        }
                         ModelKind::Aco(p) => {
                             let tf = pher.expect("ACO has pheromone").of(g);
                             let tau = |rr: i64, cc: i64| tf.get_or(rr, cc, 0.0);
-                            aco_scan_row(&occ, &tau, dist, &p, g, r, c)
+                            let row = aco_scan_row(&occ, &tau, dist, &p, g, r, c);
+                            aco_select(&row, front, fk, &p, &mut rng)
                         }
                     };
-                    for slot in 0..8 {
-                        // SAFETY: agent-unique slots.
-                        unsafe {
-                            sv.write(ai * 8 + slot, row.vals[slot]);
-                            si.write(ai * 8 + slot, row.idxs[slot]);
+                    let (nr, nc) = match k {
+                        Some(k) => {
+                            let (dr, dc) = NEIGHBOR_OFFSETS[k];
+                            ((r + dr) as u16, (c + dc) as u16)
                         }
-                    }
-                    let fk = dist.front_k(g, r, c);
-                    // SAFETY: agent-unique slots.
+                        None => (NO_FUTURE, NO_FUTURE),
+                    };
+                    // SAFETY: agent-unique slots (bucket-disjoint tasks).
                     unsafe {
-                        front.write(ai, front_status(&occ, fk, r, c));
-                        front_k.write(ai, fk as u8);
-                    }
-                }
-            }
-        });
-    }
-
-    fn stage_tour(&mut self, step_no: u64) {
-        // §IV.c: each agent writes only its own FUTURE slots, with its
-        // own RNG stream, driven from the count-balanced bucket groups.
-        let salt = step_no * 4 + KERNEL_TOUR;
-        let parts = self.parts();
-        let schedule = self.next_schedule();
-        let buckets = &self.buckets;
-        let groups = buckets.task_groups(parts);
-        let seed = self.seed;
-        let model = self.cfg.model;
-        let scan = &self.scan;
-        let props = &mut self.env.props;
-        let front = &props.front;
-        let front_k = &props.front_k;
-        let prow = &props.row;
-        let pcol = &props.col;
-        let fr = Scatter::new(&mut props.future_row);
-        let fc = Scatter::new(&mut props.future_col);
-        dispatch(self.pool.as_ref(), schedule, parts, &|t| {
-            for bkt in groups[t].clone() {
-                for &a in buckets.members(bkt) {
-                    let a = a as usize;
-                    let mut rng = StreamRng::with_offset(seed, a as u64, salt << 4);
-                    let row = ScanRow {
-                        vals: scan.row_vals(a).try_into().expect("8 slots"),
-                        idxs: scan.row_idxs(a).try_into().expect("8 slots"),
-                    };
-                    let k = match model {
-                        ModelKind::Lem(p) => {
-                            lem_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                        }
-                        ModelKind::Aco(p) => {
-                            aco_select(&row, front[a], front_k[a] as usize, &p, &mut rng)
-                        }
-                    };
-                    // SAFETY: agent-unique slots.
-                    unsafe {
-                        match k {
-                            Some(k) => {
-                                let (dr, dc) = NEIGHBOR_OFFSETS[k];
-                                fr.write(a, (i64::from(prow[a]) + dr) as u16);
-                                fc.write(a, (i64::from(pcol[a]) + dc) as u16);
-                            }
-                            None => {
-                                fr.write(a, NO_FUTURE);
-                                fc.write(a, NO_FUTURE);
-                            }
-                        }
+                        fr.write(ai, nr);
+                        fc.write(ai, nc);
                     }
                 }
             }
@@ -919,15 +854,18 @@ impl PooledBackend {
 }
 
 impl StageBackend for PooledBackend {
+    /// Decide, then move: movement is the step's only barrier.
+    const KERNEL_STAGES: &'static [Stage] = &[Stage::Tour, Stage::Movement];
+
     fn run_stage(&mut self, stage: Stage, step_no: u64, _rec: &mut pedsim_obs::Recorder) {
         // No launch machinery to report: the kernel counters stay at the
         // zeros the core pre-registered.
         match stage {
-            Stage::Init => self.stage_init(),
-            Stage::InitialCalc => self.stage_initial_calc(),
-            Stage::Tour => self.stage_tour(step_no),
+            Stage::Tour => self.stage_decide(step_no),
             Stage::Movement => self.stage_movement(step_no),
-            Stage::Lifecycle | Stage::Metrics => unreachable!("core-driven stage"),
+            Stage::Init | Stage::InitialCalc | Stage::Lifecycle | Stage::Metrics => {
+                unreachable!("not a host kernel stage")
+            }
         }
     }
 

@@ -240,8 +240,6 @@ impl DeviceState {
         props.col = self.col.as_slice().to_vec();
         props.future_row = self.future_row.as_slice().to_vec();
         props.future_col = self.future_col.as_slice().to_vec();
-        props.front = self.front.as_slice().to_vec();
-        props.front_k = self.front_k.as_slice().to_vec();
         Environment {
             mat: Matrix::from_vec(self.h, self.w, self.mat[self.cur].as_slice().to_vec()),
             index: Matrix::from_vec(self.h, self.w, self.index[self.cur].as_slice().to_vec()),

@@ -16,9 +16,11 @@
 //! * [`kernels`] — the four `simt` kernels (§IV.b–e) and the device buffer
 //!   set, plus the atomic-CAS movement variant kept for ablations;
 //! * [`engine`] — [`engine::pooled::PooledEngine`] (the host engine:
-//!   inline on one thread, the sequential reference, or on a worker pool)
-//!   and [`engine::gpu::GpuEngine`] (virtual GPU, sequential or parallel
-//!   policy);
+//!   a fused decide pass then movement, inline on one thread — the
+//!   sequential reference — or on a worker pool) and
+//!   [`engine::gpu::GpuEngine`] (the four kernels on the virtual GPU,
+//!   sequential or parallel policy), both driven by the shared step
+//!   pipeline, which runs the kernel stages each backend declares;
 //! * [`metrics`] — throughput (the paper's §VI result metric), gridlock,
 //!   lane formation;
 //! * [`validate`] — exact cross-engine trajectory comparison;

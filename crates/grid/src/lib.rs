@@ -9,11 +9,10 @@
 //!   (up to [`cell::MAX_GROUPS`]), headings, and the paper's Figure-1
 //!   neighbourhood numbering;
 //! * [`property::PropertyTable`] — the per-agent record of the paper's
-//!   Table I (ID, ROW, COLUMN, FUTURE ROW, FUTURE COLUMN, FRONT CELL) with
-//!   the 0th sentinel row, stored struct-of-arrays so each kernel touches
+//!   Table I (ID, ROW, COLUMN, FUTURE ROW, FUTURE COLUMN) with the 0th
+//!   sentinel row, stored struct-of-arrays so each kernel touches
 //!   disjoint fields;
-//! * [`scan::ScanMatrix`] — the `(N+1)×8` scan matrix holding eq. (1)
-//!   values (LEM) or eq. (2) numerators (ACO);
+//! * [`scan`] — the scan-slot sentinel and the per-agent tour lengths;
 //! * [`distance::DistanceTables`] — the pre-computed constant-memory
 //!   distance and move-length tables, behind the [`distance::DistanceField`]
 //!   abstraction;
@@ -46,4 +45,3 @@ pub use matrix::Matrix;
 pub use pheromone::PheromoneField;
 pub use placement::place_in_cells;
 pub use property::{PropertyTable, NO_FUTURE};
-pub use scan::ScanMatrix;

@@ -10,7 +10,9 @@
 //! (e.g. the movement kernel reads `future_*` and writes `row`/`col`),
 //! which is what lets the Rust engines run the kernels in parallel without
 //! locks. The paper's EMPTY column (unused) is dropped; its INDEX NO column
-//! is implicit (an agent's index *is* its row number).
+//! is implicit (an agent's index *is* its row number). Its FRONT CELL
+//! column is per-step scratch: simt keeps it in a device buffer between
+//! kernels, and the host engine computes it where it is used.
 
 /// Sentinel for "no future cell chosen" in `future_row`/`future_col`.
 ///
@@ -31,14 +33,6 @@ pub struct PropertyTable {
     pub future_row: Vec<u16>,
     /// Chosen next column ([`NO_FUTURE`] when none).
     pub future_col: Vec<u16>,
-    /// Contents of the agent's front cell, refreshed each step
-    /// (the Table-I FRONT CELL field).
-    pub front: Vec<u8>,
-    /// Which neighbour slot (0–7) is the agent's front cell this step: the
-    /// distance-argmin neighbour. For the paper's row-distance corridor
-    /// this is always the group's row-forward cell; flow-field worlds
-    /// point it downhill around obstacles.
-    pub front_k: Vec<u8>,
 }
 
 impl PropertyTable {
@@ -52,8 +46,6 @@ impl PropertyTable {
             col: vec![0; n],
             future_row: vec![NO_FUTURE; n],
             future_col: vec![NO_FUTURE; n],
-            front: vec![0; n],
-            front_k: vec![0; n],
         }
     }
 
@@ -77,8 +69,6 @@ impl PropertyTable {
         self.col[idx] = c;
         self.future_row[idx] = NO_FUTURE;
         self.future_col[idx] = NO_FUTURE;
-        self.front[idx] = 0;
-        self.front_k[idx] = 0;
     }
 
     /// Current position of agent `idx`.

@@ -187,7 +187,14 @@ impl Recorder {
         self.histograms.entry(key).or_default().record(nanos);
     }
 
-    /// Histogram under `key`, when any sample has been recorded.
+    /// Ensure histogram `key` exists (empty if new) without recording a
+    /// sample — the histogram analogue of [`Recorder::ensure_counter`],
+    /// for a stage a backend does not run.
+    pub fn ensure_histogram(&mut self, key: &'static str) {
+        self.histograms.entry(key).or_default();
+    }
+
+    /// Histogram under `key`, when registered or sampled.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
         self.histograms.get(key)
     }
@@ -324,9 +331,13 @@ mod tests {
         let mut r = Recorder::new();
         r.observe_ns("stage.tour_ns", 2_000_000);
         r.observe_ns("stage.tour_ns", 4_000_000);
+        r.ensure_histogram("stage.init_ns");
+        r.ensure_histogram("stage.tour_ns");
+        assert_eq!(r.histogram("stage.tour_ns").unwrap().count(), 2);
         let j = r.wall_json();
         assert!(j.contains("\"stage.tour_ns\""));
         assert!(j.contains("\"count\": 2"));
         assert!(j.contains("\"mean_ms\": 3"));
+        assert!(j.contains("\"stage.init_ns\": {\"count\": 0"));
     }
 }

@@ -818,12 +818,16 @@ impl ScenarioBuilder {
                     });
                 }
                 // A source cell inside the group's own sink would despawn
-                // its arrivals the step after they appear.
+                // its arrivals the step after they appear. The sink is
+                // sorted once: a linear `Region::contains` per source cell
+                // goes quadratic at plaza scale (~5·10^3 × 5·10^3 cells).
+                let mut sink = target.cells().to_vec();
+                sink.sort_unstable();
                 if let Some(&cell) = source
                     .region
                     .cells()
                     .iter()
-                    .find(|&&(r, c)| target.contains(r, c))
+                    .find(|c| sink.binary_search(c).is_ok())
                 {
                     return Err(ScenarioError::SourceOverlap {
                         with: "the group's own target region",
@@ -1067,6 +1071,18 @@ mod tests {
             base().wall_cell(20, 0).build(),
             Err(ScenarioError::OutOfBounds { .. })
         ));
+        // A source reaching into its own group's sink: the first source
+        // cell (row-major) inside the target is reported.
+        assert_eq!(
+            base()
+                .source(Group::TOP, Region::row_band(12, 2, 16), 1.0)
+                .build()
+                .unwrap_err(),
+            ScenarioError::SourceOverlap {
+                with: "the group's own target region",
+                cell: (13, 0),
+            }
+        );
         // Missing target.
         assert!(matches!(
             Scenario::builder("t", 16, 16)

@@ -14,19 +14,16 @@
 //! * [`ttest`] — Welch's and paired t-tests;
 //! * [`glm`] — binomial GLM with logit link, fitted by iteratively
 //!   reweighted least squares, with Wald tests on coefficients;
-//! * [`linreg`] — ordinary least squares (speedup-trend summaries);
-//! * [`linalg`] — the small dense solver backing GLM/OLS.
+//! * [`linalg`] — the small dense solver backing the GLM.
 
 #![warn(missing_docs)]
 
 pub mod describe;
 pub mod glm;
 pub mod linalg;
-pub mod linreg;
 pub mod special;
 pub mod ttest;
 
 pub use describe::Summary;
 pub use glm::{BinomialGlm, GlmFit};
-pub use linreg::OlsFit;
 pub use ttest::{paired_t_test, welch_t_test, TTestResult};

@@ -1,4 +1,4 @@
-//! Small dense linear algebra for the GLM/OLS normal equations.
+//! Small dense linear algebra for the GLM normal equations.
 //!
 //! Design matrices here have 2–4 columns, so a plain partial-pivoting
 //! Gauss–Jordan on `p × p` systems is the right tool.
